@@ -334,8 +334,8 @@ impl DistScrollDevice {
     /// identical firmware work and byte-identical results (held to that
     /// by the equivalence tests), but the board's power step re-scans
     /// both display text buffers through the font table, as every tick
-    /// paid before the scheduler landed. This is the measured baseline
-    /// the bench's `sim_speedup` compares the event core against.
+    /// paid before the scheduler landed. This is the reference the
+    /// event-core equivalence tests hold `run_for_ms` to.
     ///
     /// # Errors
     ///

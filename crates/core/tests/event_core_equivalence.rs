@@ -142,3 +142,35 @@ fn run_for_ms_covers_exactly_the_requested_span() {
     assert_eq!(by_ms.lower_display_art(), by_tick.lower_display_art());
     assert_eq!(by_ms.drain_telemetry(), by_tick.drain_telemetry());
 }
+
+/// A long uninterrupted run: `run_for_ms` jumps from deadline to
+/// deadline over 200 simulated seconds while its twin pays the
+/// per-tick recount on every step. The battery must still agree bit
+/// for bit, so the event core's saving is never bought with drift.
+#[test]
+fn run_for_ms_matches_tick_compat_over_a_long_span() {
+    let profile = DeviceProfile::paper();
+    let ticks: u64 = 20_000;
+    let mut by_ms = twin(profile.clone(), 20050607);
+    let mut compat = twin(profile.clone(), 20050607);
+    by_ms
+        .run_for_ms(ticks * profile.tick_ms)
+        .expect("fresh battery");
+    for _ in 0..ticks {
+        compat.tick_compat().expect("fresh battery");
+    }
+    assert_eq!(by_ms.now(), compat.now());
+    assert_eq!(by_ms.upper_display_art(), compat.upper_display_art());
+    assert_eq!(by_ms.lower_display_art(), compat.lower_display_art());
+    assert_eq!(
+        by_ms.board().battery_soc().to_bits(),
+        compat.board().battery_soc().to_bits(),
+        "battery SOC diverged between run_for_ms and tick_compat"
+    );
+    let mut ta = Vec::new();
+    let mut tb = Vec::new();
+    by_ms.drain_telemetry_into(&mut ta);
+    compat.drain_telemetry_into(&mut tb);
+    assert!(!ta.is_empty(), "a 200 s run must produce telemetry");
+    assert_eq!(ta, tb, "telemetry frames diverged");
+}

@@ -15,7 +15,7 @@ use distscroll_core::events::TimedEvent;
 use distscroll_core::menu::Menu;
 use distscroll_core::profile::{DeviceProfile, RecognizerKind};
 use distscroll_host::session::SessionLog;
-use distscroll_host::telemetry::{record_link_quality, EventKind, Record, StreamDecoder};
+use distscroll_host::telemetry::{EventKind, Record, StreamDecoder};
 use distscroll_hw::arq::LinkQuality;
 use distscroll_hw::board::Telemetry;
 use distscroll_hw::clock::SimDuration;
@@ -252,7 +252,6 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
         let session_seed = seed.wrapping_add(0x9e37_79b9 * (i as u64 + 1));
         let raw = run_session(condition, false, session_ms, session_seed);
         let arq = run_session(condition, true, session_ms, session_seed);
-        record_link_quality(&arq.quality);
         table.row(&[
             format!("{:.0}%", condition.drop_prob * 100.0),
             format!("{:.4}", condition.ber),

@@ -25,7 +25,6 @@
 //! FIFO queue in order, and the worker budget only decides which
 //! shards drain concurrently.
 
-use distscroll_host::telemetry::record_link_quality;
 use distscroll_ingest::loadgen::{capture_template, inorder_template, CohortLoad, LinkProfile};
 use distscroll_ingest::{IngestConfig, IngestService, IngestStats};
 
@@ -136,8 +135,6 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
         0,
         jobs,
     );
-    record_link_quality(&base_stats.totals.link);
-
     let regimes = [
         RegimeOutcome {
             name: "baseline",

@@ -2,10 +2,10 @@
 //!
 //! Every experiment has the same signature — `run(effort, seed) ->
 //! ExperimentReport` — and is registered once in [`REGISTRY`], the
-//! single ordered list the CLI binary, the integration tests and the
-//! criterion benches all enumerate. Adding an experiment means adding
-//! a module and one line to the `registry!` invocation; no other list
-//! in the workspace needs touching.
+//! single ordered list the CLI binary and the integration tests both
+//! enumerate. Adding an experiment means adding a module and one line
+//! to the `registry!` invocation; no other list in the workspace needs
+//! touching.
 
 pub mod ablation;
 pub mod arq;
@@ -25,7 +25,7 @@ pub mod robustness;
 pub mod shootout;
 pub mod study;
 
-/// How much compute to spend: benches and CI use `Quick`, the recorded
+/// How much compute to spend: tests and CI use `Quick`, the recorded
 /// results in EXPERIMENTS.md use `Full`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Effort {
@@ -129,9 +129,6 @@ pub trait Experiment: Sync {
     fn report_id(&self) -> &'static str;
     /// One-line human-readable title (what `--list` prints).
     fn title(&self) -> &'static str;
-    /// Whether the quick-effort run is cheap enough for large criterion
-    /// sample counts (the bench suite splits its groups on this).
-    fn cheap(&self) -> bool;
     /// Runs the experiment.
     fn run(&self, effort: Effort, seed: u64) -> ExperimentReport;
 }
@@ -139,7 +136,7 @@ pub trait Experiment: Sync {
 /// Declares the experiment registry: one zero-sized entry type per
 /// experiment plus the canonical [`REGISTRY`] and [`ALL_IDS`] orders.
 macro_rules! registry {
-    ($(($entry:ident, $module:ident, $cli:literal, $report:literal, $cheap:literal, $title:literal),)+) => {
+    ($(($entry:ident, $module:ident, $cli:literal, $report:literal, $title:literal),)+) => {
         $(
             #[doc = concat!("Registry entry driving [`", stringify!($module), "::run`].")]
             struct $entry;
@@ -154,9 +151,6 @@ macro_rules! registry {
                 fn title(&self) -> &'static str {
                     $title
                 }
-                fn cheap(&self) -> bool {
-                    $cheap
-                }
                 fn run(&self, effort: Effort, seed: u64) -> ExperimentReport {
                     $module::run(effort, seed)
                 }
@@ -168,29 +162,29 @@ macro_rules! registry {
         pub const ALL_IDS: [&str; [$($cli),+].len()] = [$($cli),+];
 
         /// Every experiment in canonical presentation order — the single
-        /// source of truth the CLI, the tests and the benches enumerate.
+        /// source of truth the CLI and the tests enumerate.
         pub static REGISTRY: [&'static dyn Experiment; ALL_IDS.len()] = [$(&$entry),+];
     };
 }
 
 registry! {
-    (Fig4, fig4, "fig4", "F4", true, "sensor transfer curve, linear axes"),
-    (Fig5, fig5, "fig5", "F5", true, "sensor transfer curve, logarithmic axes"),
-    (Islands, islands, "islands", "T-island", true, "the Section 4.2 island mapping, tabulated"),
-    (Study, study, "study", "S6", false, "initial user study: discovery and nearly-errorless use"),
-    (Shootout, shootout, "shootout", "E1", false, "distance scrolling vs buttons, wheel, tilt and yoyo"),
-    (RangeSweep, range_sweep, "range", "E2", false, "is the 4-30 cm scrolling range appropriate?"),
-    (Direction, direction, "direction", "E3", false, "scroll towards oneself or away: the cost of a wrong stereotype"),
-    (LongMenus, long_menus, "longmenus", "E4", false, "long menus: chunks of 10 vs speed-dependent scrolling vs naive"),
-    (Fastscroll, fastscroll, "fastscroll", "E5", false, "advanced users exploiting the <4 cm fold-back for fast browsing"),
-    (Robustness, robustness, "robustness", "E6", false, "clothing colour and light conditions: robustness of the curve"),
-    (Ablation, ablation, "ablation", "E7", false, "design ablations: gaps, equalization, filters, tick rate"),
-    (Buttons, button_layout, "buttons", "E8", false, "button layouts: three buttons vs two slidable vs one large"),
-    (Pda, pda, "pda", "E9", false, "the minimized PDA add-on: host-rendered UI over the radio"),
-    (Link, link, "link", "L1", true, "the wireless telemetry link to the host PC"),
-    (Arq, arq, "arq", "L2", true, "reliable telemetry transport (ARQ) over the lossy link"),
-    (Ingest, ingest, "ingest", "L3", false, "fleet-scale telemetry ingest: multiplexed ARQ sessions"),
-    (RecognizerBand, recognizer, "recognizer", "R1", false, "segmented recognizer: usable band under tremor and fold-back"),
+    (Fig4, fig4, "fig4", "F4", "sensor transfer curve, linear axes"),
+    (Fig5, fig5, "fig5", "F5", "sensor transfer curve, logarithmic axes"),
+    (Islands, islands, "islands", "T-island", "the Section 4.2 island mapping, tabulated"),
+    (Study, study, "study", "S6", "initial user study: discovery and nearly-errorless use"),
+    (Shootout, shootout, "shootout", "E1", "distance scrolling vs buttons, wheel, tilt and yoyo"),
+    (RangeSweep, range_sweep, "range", "E2", "is the 4-30 cm scrolling range appropriate?"),
+    (Direction, direction, "direction", "E3", "scroll towards oneself or away: the cost of a wrong stereotype"),
+    (LongMenus, long_menus, "longmenus", "E4", "long menus: chunks of 10 vs speed-dependent scrolling vs naive"),
+    (Fastscroll, fastscroll, "fastscroll", "E5", "advanced users exploiting the <4 cm fold-back for fast browsing"),
+    (Robustness, robustness, "robustness", "E6", "clothing colour and light conditions: robustness of the curve"),
+    (Ablation, ablation, "ablation", "E7", "design ablations: gaps, equalization, filters, tick rate"),
+    (Buttons, button_layout, "buttons", "E8", "button layouts: three buttons vs two slidable vs one large"),
+    (Pda, pda, "pda", "E9", "the minimized PDA add-on: host-rendered UI over the radio"),
+    (Link, link, "link", "L1", "the wireless telemetry link to the host PC"),
+    (Arq, arq, "arq", "L2", "reliable telemetry transport (ARQ) over the lossy link"),
+    (Ingest, ingest, "ingest", "L3", "fleet-scale telemetry ingest: multiplexed ARQ sessions"),
+    (RecognizerBand, recognizer, "recognizer", "R1", "segmented recognizer: usable band under tremor and fold-back"),
 }
 
 /// Looks up a registry entry by CLI id or report id, ASCII
@@ -214,28 +208,22 @@ pub fn run_id(id: &str, effort: Effort, seed: u64) -> Option<ExperimentReport> {
 /// flows from `seed`), and the join reassembles reports in canonical
 /// order, so the output is identical to running them one after another.
 pub fn run_all(effort: Effort, seed: u64) -> Vec<ExperimentReport> {
-    run_all_timed(effort, seed)
+    run_ids_timed(&ALL_IDS, effort, seed)
         .into_iter()
         .map(|(report, _)| report)
         .collect()
 }
 
-/// Like [`run_all`], but also reports each experiment's wall-clock
-/// seconds (as measured inside the fan-out, so concurrent experiments
-/// share the machine).
-pub fn run_all_timed(effort: Effort, seed: u64) -> Vec<(ExperimentReport, f64)> {
-    run_ids_timed(&ALL_IDS, effort, seed)
-}
-
 /// Runs the given experiments in parallel, returning `(report, secs)`
-/// in input order.
+/// in input order. `secs` is each experiment's wall clock as measured
+/// inside the fan-out, so concurrent experiments share the machine.
 ///
 /// # Panics
 ///
 /// Panics on an unknown id.
 pub fn run_ids_timed(ids: &[&str], effort: Effort, seed: u64) -> Vec<(ExperimentReport, f64)> {
     distscroll_par::par_map(jobs(), ids, |_, id| {
-        // lint:allow(wall-clock) wall-clock here is the measured quantity (bench timings); it never feeds report bytes
+        // lint:allow(wall-clock) wall-clock here is the measured quantity (the CLI's printed per-experiment wall clock); it never feeds report bytes
         let t0 = std::time::Instant::now();
         let report =
             // lint:allow(panic-hygiene) documented panic (# Panics); callers validate ids against ALL_IDS first

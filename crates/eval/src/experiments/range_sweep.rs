@@ -93,7 +93,7 @@ pub fn reachable_fraction(profile: &DeviceProfile, n: usize, seed: u64) -> f64 {
     ok as f64 / n as f64
 }
 
-/// Runs the sweep and returns raw outcomes (also used by the bench).
+/// Runs the sweep and returns raw outcomes.
 pub fn sweep(effort: Effort, seed: u64) -> Vec<RangeOutcome> {
     let n_users = effort.pick(3, 10);
     let trials = effort.pick(6, 20);

@@ -29,7 +29,7 @@
 //! * [`runner`] — cohort × technique × condition trial loops,
 //! * [`report`] — text tables and ASCII plots (the "figures").
 //!
-//! Every experiment takes an [`experiments::Effort`] so benches can run
+//! Every experiment takes an [`experiments::Effort`] so tests can run
 //! scaled-down versions of exactly the same code.
 
 #![forbid(unsafe_code)]

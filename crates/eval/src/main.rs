@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! distscroll-eval [--effort quick|full] [--seed N] [--jobs N] [--out DIR] \
-//!                 [--bench-out FILE] [--list] [--only ID] <id>... | all
+//!                 [--list] [--only ID] <id>... | all
 //! ```
 //!
 //! The experiment set comes from the registry in
@@ -14,20 +14,18 @@
 //!
 //! `--jobs N` caps the worker threads (`1` forces the serial path, `0`
 //! or absent means auto). Reports are byte-for-byte identical at any
-//! jobs count. `--bench-out FILE` additionally times every selected
-//! experiment twice — once serial, once at the requested parallelism —
-//! and writes the per-experiment wall-clock comparison as JSON.
+//! jobs count. Each report is followed by its wall clock on stdout;
+//! the pipeline benchmark lives in `perfbench/` (see its README).
 
 use std::io::Write as _;
 
 use distscroll_eval::experiments::{self, Effort, REGISTRY};
-use distscroll_host::telemetry::ExecutorStage;
 
 fn usage() -> ! {
     let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id()).collect();
     eprintln!(
         "usage: distscroll-eval [--quick | --effort quick|full] [--seed N] [--jobs N] \
-         [--out DIR] [--bench-out FILE] [--list] [--only ID] <{}|all>",
+         [--out DIR] [--list] [--only ID] <{}|all>",
         ids.join("|")
     );
     std::process::exit(2);
@@ -41,605 +39,11 @@ fn list_experiments() {
     }
 }
 
-/// One experiment's serial-vs-parallel wall-clock comparison.
-struct BenchRow {
-    id: String,
-    serial_s: f64,
-    parallel_s: f64,
-}
-
-/// The event-core-vs-fixed-tick device comparison for the `sim_speedup`
-/// bench object: one standardized device workload driven twice.
-struct SimSpeedup {
-    simulated_s: f64,
-    event_wall_s: f64,
-    tick_wall_s: f64,
-}
-
-impl SimSpeedup {
-    fn speedup(&self) -> f64 {
-        self.tick_wall_s / self.event_wall_s.max(1e-9)
-    }
-}
-
-/// Single-shard telemetry decode throughput for the `decode` bench
-/// object.
-struct DecodeBench {
-    bytes: usize,
-    records: u64,
-    wall_s: f64,
-}
-
-/// Fleet-ingest throughput for the `ingest` bench object: a cohort of
-/// template sessions replayed through the multiplexed service.
-struct IngestBench {
-    devices: u64,
-    shards: usize,
-    rounds: u64,
-    frames_in: u64,
-    records: u64,
-    wall_s: f64,
-    p50_us: f64,
-    p99_us: f64,
-    shed: u64,
-    evicted: u64,
-}
-
-impl IngestBench {
-    fn devices_per_sec(&self) -> f64 {
-        self.devices as f64 / self.wall_s.max(1e-9)
-    }
-}
-
-/// Per-sample recognizer classify latency for the `recognizer` bench
-/// object: the same code stream pushed through both recognizers.
-struct RecognizerBench {
-    samples: u64,
-    classic_wall_s: f64,
-    segmented_wall_s: f64,
-}
-
-impl RecognizerBench {
-    fn classic_ns(&self) -> f64 {
-        self.classic_wall_s * 1e9 / self.samples as f64
-    }
-
-    fn segmented_ns(&self) -> f64 {
-        self.segmented_wall_s * 1e9 / self.samples as f64
-    }
-}
-
-/// Wire-front-door figures for the `wire` bench object: single-shard
-/// frame decode throughput on a corrupted stream (the resync path on
-/// the clock, where the clean `decode` object measures the happy path),
-/// plus the deterministic goodput of a full ARQ session over the harsh
-/// adversarial channel.
-struct WireBench {
-    bytes: usize,
-    frames_ok: u64,
-    frames_bad: u64,
-    wall_s: f64,
-    records_sent: u64,
-    records_delivered: u64,
-    frames_offered: u64,
-    frames_lost: u64,
-    frames_forged: u64,
-}
-
-impl WireBench {
-    fn bytes_per_sec(&self) -> f64 {
-        self.bytes as f64 / self.wall_s.max(1e-9)
-    }
-
-    /// Fraction of enqueued records the adversarial session delivered.
-    fn goodput(&self) -> f64 {
-        self.records_delivered as f64 / (self.records_sent as f64).max(1.0)
-    }
-}
-
-/// The hot-path micro-benchmarks measured alongside the experiment
-/// matrix and rendered as the `sim_speedup`, `decode`, `ingest`,
-/// `recognizer`, and `wire` objects of the bench report.
-struct HotPathBenches {
-    sim: SimSpeedup,
-    decode: DecodeBench,
-    ingest: IngestBench,
-    recognizer: RecognizerBench,
-    wire: WireBench,
-}
-
-/// Times the standardized device workload twice: once on the
-/// jump-to-deadline event core (`run_for_ms`, cached display load) and
-/// once on the legacy fixed-tick path (`tick_compat`, which recounts
-/// the panel load from display RAM every step — the pre-event-core
-/// per-tick cost). Both devices are byte-identical twins; the run
-/// asserts their battery state still agrees bit for bit, so the
-/// speedup is never bought with divergence.
-fn measure_sim_speedup(seed: u64) -> SimSpeedup {
-    use distscroll_core::device::DistScrollDevice;
-    use distscroll_core::menu::Menu;
-    use distscroll_core::profile::DeviceProfile;
-
-    let ticks: u64 = 200_000;
-    let profile = DeviceProfile::paper();
-    let tick_ms = profile.tick_ms;
-    let simulated_s = (ticks * tick_ms) as f64 / 1e3;
-
-    let mut event_dev = DistScrollDevice::new(profile.clone(), Menu::flat(12), seed);
-    event_dev.set_distance(18.0);
-    let t0 = std::time::Instant::now();
-    event_dev
-        .run_for_ms(ticks * tick_ms)
-        .expect("bench workload must not brown out");
-    let event_wall_s = t0.elapsed().as_secs_f64();
-
-    let mut tick_dev = DistScrollDevice::new(profile, Menu::flat(12), seed);
-    tick_dev.set_distance(18.0);
-    let t0 = std::time::Instant::now();
-    for _ in 0..ticks {
-        tick_dev
-            .tick_compat()
-            .expect("bench workload must not brown out");
-    }
-    let tick_wall_s = t0.elapsed().as_secs_f64();
-
-    assert_eq!(
-        event_dev.board().battery_soc().to_bits(),
-        tick_dev.board().battery_soc().to_bits(),
-        "event core diverged from the fixed-tick path during the bench"
-    );
-    SimSpeedup {
-        simulated_s,
-        event_wall_s,
-        tick_wall_s,
-    }
-}
-
-/// Times the telemetry decode hot path: a single-shard
-/// [`distscroll_host::telemetry::StreamDecoder`] fed a realistic framed
-/// record stream, reported as bytes per second.
-fn measure_decode_throughput() -> DecodeBench {
-    use distscroll_host::telemetry::StreamDecoder;
-    use distscroll_hw::link::encode_frame_into;
-
-    // A realistic mix: three state records per event record, the same
-    // ratio a steady-state device produces. encode_frame_into clears
-    // its buffer, so frames go through a scratch vec.
-    let mut corpus = Vec::new();
-    let mut frame = Vec::new();
-    let mut stamp = 0u16;
-    while corpus.len() < 2 << 20 {
-        for _ in 0..3 {
-            stamp = stamp.wrapping_add(25);
-            let code = 0x0200 | (stamp & 0xff);
-            encode_frame_into(
-                &[
-                    b'T',
-                    (stamp >> 8) as u8,
-                    (stamp & 0xff) as u8,
-                    (code >> 8) as u8,
-                    (code & 0xff) as u8,
-                    (stamp % 5) as u8,
-                    1,
-                    (stamp % 8) as u8,
-                ],
-                &mut frame,
-            );
-            corpus.extend_from_slice(&frame);
-        }
-        stamp = stamp.wrapping_add(25);
-        encode_frame_into(
-            &[b'E', (stamp >> 8) as u8, (stamp & 0xff) as u8, b'H', 2],
-            &mut frame,
-        );
-        corpus.extend_from_slice(&frame);
-    }
-
-    let mut dec = StreamDecoder::new();
-    let mut records = 0u64;
-    let t0 = std::time::Instant::now();
-    dec.push_bytes_with(&corpus, |_rec| records += 1);
-    let wall_s = t0.elapsed().as_secs_f64();
-    assert!(records > 0, "decode bench corpus produced no records");
-    DecodeBench {
-        bytes: corpus.len(),
-        records,
-        wall_s,
-    }
-}
-
-/// Replays a deterministic cohort of captured device sessions through
-/// the multiplexed ingest service and times it round by round.
-///
-/// The cohort size comes from `DISTSCROLL_INGEST_DEVICES` (default
-/// 10 000) so CI can run the same benchmark at a smaller fixed scale.
-/// Queues are sized to absorb a full round and the per-shard session
-/// bound sits below the cohort, so the LRU eviction path is on the
-/// clock, not just the happy path. Every counter in the result is a
-/// pure function of the seed — only the timings are wall-clock.
-fn measure_ingest(seed: u64, jobs: usize) -> IngestBench {
-    use distscroll_ingest::loadgen::{capture_template, CohortLoad, LinkProfile};
-    use distscroll_ingest::{IngestConfig, IngestService};
-
-    let devices: u64 = std::env::var("DISTSCROLL_INGEST_DEVICES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
-    let shards = 8usize;
-
-    // Template sessions across the link conditions a fleet mixes.
-    let conditions = [
-        LinkProfile::CLEAN,
-        LinkProfile {
-            drop_prob: 0.02,
-            ber: 0.0,
-            jitter_ms: 5,
-        },
-        LinkProfile::LOSSY,
-    ];
-    let templates: Vec<_> = conditions
-        .iter()
-        .enumerate()
-        .map(|(i, &link)| {
-            let s = seed.wrapping_add(0x9e37_79b9 * (i as u64 + 1));
-            capture_template(link, 12, 100, s)
-        })
-        .collect();
-    let load = CohortLoad::new(templates, devices, 8);
-
-    let per_shard = devices.div_ceil(shards as u64) as usize;
-    let cfg = IngestConfig {
-        shards,
-        high_water: per_shard.max(64),
-        session_capacity: (per_shard / 2).max(64),
-    };
-    let mut svc = IngestService::new(&cfg);
-
-    let rounds = load.rounds();
-    let mut lat_us: Vec<u64> = Vec::with_capacity(rounds as usize);
-    let t0 = std::time::Instant::now();
-    for round in 0..rounds {
-        let tr = std::time::Instant::now();
-        load.for_round(round, |device, chunk| {
-            let _ = svc.offer(device, chunk); // sheds are counted in the books
-        });
-        svc.process_round(jobs);
-        lat_us.push(tr.elapsed().as_micros() as u64);
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-    let stats = svc.finish();
-    assert!(stats.totals.records > 0, "ingest bench decoded no records");
-
-    lat_us.sort_unstable();
-    let pct = |p: u64| lat_us[((lat_us.len() as u64 - 1) * p / 100) as usize] as f64;
-    IngestBench {
-        devices,
-        shards,
-        rounds,
-        frames_in: stats.totals.frames_in,
-        records: stats.totals.records,
-        wall_s,
-        p50_us: pct(50),
-        p99_us: pct(99),
-        shed: stats.totals.shed_batches,
-        evicted: stats.totals.evicted,
-    }
-}
-
-/// Times both recognizers on one realistic code stream: a settled hold,
-/// a sweep across the band, and periodic fold-back dips — the regimes a
-/// real session mixes. Reported as nanoseconds per sample; the stream
-/// itself is a pure function of its index, so both recognizers see
-/// byte-identical input.
-fn measure_recognizer() -> RecognizerBench {
-    use distscroll_core::mapping::paper_curve;
-    use distscroll_recognizer::{
-        ClassicChain, ClassicConfig, Recognizer, Segmented, SegmentedConfig,
-    };
-
-    let samples: u64 = 2_000_000;
-    let code_at = |i: u64| -> u16 {
-        match i % 1000 {
-            0..=199 => 520,                               // settled hold
-            200..=899 => (200 + (i % 1000 - 200)) as u16, // slow sweep
-            _ => 940,                                     // fold-back dip
-        }
-    };
-
-    let mut classic = ClassicChain::new(&ClassicConfig::paper());
-    let t0 = std::time::Instant::now();
-    let mut acc = 0u64;
-    for i in 0..samples {
-        acc = acc.wrapping_add(u64::from(classic.process(code_at(i), i)));
-    }
-    let classic_wall_s = t0.elapsed().as_secs_f64();
-
-    let mut segmented = Segmented::new(SegmentedConfig {
-        curve: paper_curve(),
-        near_cm: 4.0,
-        far_cm: 30.0,
-        tick_ms: 10,
-    });
-    let t0 = std::time::Instant::now();
-    for i in 0..samples {
-        acc = acc.wrapping_add(u64::from(segmented.process(code_at(i), i)));
-    }
-    let segmented_wall_s = t0.elapsed().as_secs_f64();
-    assert!(acc > 0, "recognizer bench stream produced no output");
-
-    RecognizerBench {
-        samples,
-        classic_wall_s,
-        segmented_wall_s,
-    }
-}
-
-/// Times the wire front door under fire.
-///
-/// Two measurements share the `wire` object:
-///
-/// 1. **Corrupted-stream decode throughput** — a multi-megabyte frame
-///    stream run through the Gilbert–Elliott burst eraser with bit
-///    errors, then pushed through a single [`FrameDecoder`]. Unlike the
-///    clean `decode` object this keeps the CRC-failure resync path (the
-///    replay queue) on the clock, so a regression in failure handling
-///    shows up even when the happy path stays fast.
-/// 2. **Adversarial goodput** — a full `ArqTx`↔`ArqRx` session over
-///    [`AdversarialChannel::harsh`] (burst loss, duplication, reordering
-///    beyond the window). Every counter is a pure function of `seed`;
-///    only the throughput figure is wall-clock.
-fn measure_wire(seed: u64) -> WireBench {
-    use distscroll_hw::arq::{decode_ack, decode_data, ArqClass, ArqRx, ArqTx};
-    use distscroll_hw::link::{
-        encode_frame, encode_frame_into, AdversarialChannel, FrameDecoder, GilbertElliott,
-    };
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    // Part 1: decode throughput on a corrupted stream.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x77_69_72_65); // "wire"
-    let mut channel = AdversarialChannel::new(GilbertElliott::bursty());
-    channel.bit_error_rate = 2e-4;
-    let mut corrupted = Vec::new();
-    let mut frame = Vec::new();
-    let mut stamp = 0u16;
-    while corrupted.len() < 2 << 20 {
-        stamp = stamp.wrapping_add(25);
-        encode_frame_into(
-            &[
-                b'T',
-                (stamp >> 8) as u8,
-                (stamp & 0xff) as u8,
-                0x02,
-                (stamp & 0xff) as u8,
-                (stamp % 5) as u8,
-                1,
-                (stamp % 8) as u8,
-            ],
-            &mut frame,
-        );
-        channel.transmit(&frame, &mut rng, |bytes| corrupted.extend_from_slice(bytes));
-    }
-    channel.flush(|bytes| corrupted.extend_from_slice(bytes));
-
-    let mut dec = FrameDecoder::new();
-    let t0 = std::time::Instant::now();
-    for r in dec.push_all(&corrupted) {
-        let _ = r;
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-    assert!(dec.frames_ok() > 0, "wire bench decoded nothing");
-
-    // Part 2: deterministic adversarial-session goodput.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x61_72_71); // "arq"
-    let mut data_chan = AdversarialChannel::harsh();
-    data_chan.bit_error_rate = 0.0; // honest: loss/dup/reorder only
-    let mut ack_chan = AdversarialChannel::new(GilbertElliott::bursty());
-    let mut tx = ArqTx::new();
-    let mut rx = ArqRx::new();
-    let mut fd = FrameDecoder::new();
-    let mut fd_back = FrameDecoder::new();
-    let mut records_sent = 0u64;
-    let mut records_delivered = 0u64;
-    for tick in 0..20_000u64 {
-        if tick % 4 == 0 {
-            let rec = [b'E', (tick >> 8) as u8, (tick & 0xff) as u8, b'A', 1];
-            if tx.enqueue(ArqClass::Event, &rec, tick).is_some() {
-                records_sent += 1;
-            }
-        }
-        let mut arrivals: Vec<Vec<u8>> = Vec::new();
-        tx.service(tick, |wire| {
-            data_chan.transmit(&encode_frame(wire), &mut rng, |b| arrivals.push(b.to_vec()));
-        });
-        if tick % 64 == 0 {
-            data_chan.flush(|b| arrivals.push(b.to_vec()));
-        }
-        for bytes in arrivals {
-            for r in fd.push_all(&bytes).into_iter().flatten() {
-                if let Some((seq, inner)) = decode_data(&r) {
-                    rx.on_data(seq, inner, |_| records_delivered += 1);
-                }
-            }
-        }
-        if tick % 2 == 0 {
-            let mut acks: Vec<Vec<u8>> = Vec::new();
-            ack_chan.transmit(&encode_frame(&rx.ack_payload()), &mut rng, |b| {
-                acks.push(b.to_vec());
-            });
-            for bytes in acks {
-                for r in fd_back.push_all(&bytes).into_iter().flatten() {
-                    if let Some((cum, bitmap)) = decode_ack(&r) {
-                        tx.on_ack(cum, bitmap);
-                    }
-                }
-            }
-        }
-    }
-    let stats = data_chan.stats();
-
-    WireBench {
-        bytes: corrupted.len(),
-        frames_ok: dec.frames_ok(),
-        frames_bad: dec.frames_bad(),
-        wall_s,
-        records_sent,
-        records_delivered,
-        frames_offered: stats.offered,
-        frames_lost: stats.lost,
-        frames_forged: stats.forged,
-    }
-}
-
-/// Renders the v7 perf report as JSON by hand — the harness has no JSON
-/// dependency, and experiment ids contain no characters that need
-/// escaping.
-///
-/// v2 added `schema`, `cores` (machine parallelism), `tokens` (what the
-/// executor's budget actually granted — `--jobs` is clamped to the core
-/// count), and a `stages` array with one executor-counter snapshot per
-/// timing pass. The headline `speedup` compares each pass's *overall*
-/// wall clock: per-experiment parallel timings overlap on shared cores,
-/// so their sum double-counts contended time and says nothing about
-/// throughput. v3 adds `link_quality`: the ARQ transport counters every
-/// reliable-link session of the run folded together (all zeros when no
-/// experiment exercised the ARQ). v4 adds `sim_speedup` (the
-/// jump-to-deadline event core vs the legacy fixed-tick device loop on
-/// a standardized workload) and `decode` (single-shard telemetry decode
-/// throughput in bytes per second). v5 adds `ingest`: the fleet-scale
-/// multiplexed-ARQ ingest benchmark — a deterministic cohort replayed
-/// through the sharded service, reported as devices per second with
-/// per-round p50/p99 latency and the shed/evicted counters. v6 adds
-/// `recognizer`: per-sample classify latency of the classic filter
-/// chain and the segmented state machine on one shared code stream.
-/// v7 adds `wire`: single-shard frame decode throughput on a
-/// *corrupted* stream (the CRC-failure resync path on the clock) and
-/// the deterministic goodput of an ARQ session over the harsh
-/// adversarial channel.
-fn bench_json(
-    rows: &[BenchRow],
-    stages: &[ExecutorStage],
-    hot: &HotPathBenches,
-    jobs: usize,
-    effort: Effort,
-    seed: u64,
-) -> String {
-    let HotPathBenches {
-        sim,
-        decode,
-        ingest,
-        recognizer,
-        wire,
-    } = hot;
-    let serial_wall_s = stages[0].wall_s;
-    let parallel_wall_s = stages[1].wall_s;
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": 7,\n");
-    out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!("  \"cores\": {},\n", distscroll_par::max_jobs()));
-    out.push_str(&format!(
-        "  \"tokens\": {},\n",
-        distscroll_par::granted_tokens(jobs)
-    ));
-    out.push_str(&format!("  \"effort\": \"{effort:?}\",\n"));
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str("  \"experiments\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"id\": \"{}\", \"serial_s\": {:.4}, \"parallel_s\": {:.4}}}{comma}\n",
-            r.id, r.serial_s, r.parallel_s,
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"stages\": [\n");
-    for (i, stage) in stages.iter().enumerate() {
-        let comma = if i + 1 < stages.len() { "," } else { "" };
-        out.push_str(&format!("    {}{comma}\n", stage.to_json()));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"link_quality\": {},\n",
-        distscroll_host::telemetry::link_quality_json(
-            &distscroll_host::telemetry::link_quality_totals()
-        )
-    ));
-    out.push_str(&format!(
-        "  \"sim_speedup\": {{\"simulated_s\": {:.1}, \"event_wall_s\": {:.4}, \
-         \"tick_wall_s\": {:.4}, \"speedup\": {:.3}}},\n",
-        sim.simulated_s,
-        sim.event_wall_s,
-        sim.tick_wall_s,
-        sim.speedup(),
-    ));
-    out.push_str(&format!(
-        "  \"decode\": {{\"bytes\": {}, \"records\": {}, \"wall_s\": {:.4}, \
-         \"bytes_per_sec\": {:.0}}},\n",
-        decode.bytes,
-        decode.records,
-        decode.wall_s,
-        decode.bytes as f64 / decode.wall_s.max(1e-9),
-    ));
-    out.push_str(&format!(
-        "  \"ingest\": {{\"devices\": {}, \"shards\": {}, \"rounds\": {}, \"frames_in\": {}, \
-         \"records\": {}, \"wall_s\": {:.4}, \"devices_per_sec\": {:.0}, \
-         \"p50_ingest_latency_us\": {:.0}, \"p99_ingest_latency_us\": {:.0}, \
-         \"shed\": {}, \"evicted\": {}}},\n",
-        ingest.devices,
-        ingest.shards,
-        ingest.rounds,
-        ingest.frames_in,
-        ingest.records,
-        ingest.wall_s,
-        ingest.devices_per_sec(),
-        ingest.p50_us,
-        ingest.p99_us,
-        ingest.shed,
-        ingest.evicted,
-    ));
-    out.push_str(&format!(
-        "  \"recognizer\": {{\"samples\": {}, \"classic_wall_s\": {:.4}, \
-         \"segmented_wall_s\": {:.4}, \"classic_ns_per_sample\": {:.1}, \
-         \"segmented_ns_per_sample\": {:.1}}},\n",
-        recognizer.samples,
-        recognizer.classic_wall_s,
-        recognizer.segmented_wall_s,
-        recognizer.classic_ns(),
-        recognizer.segmented_ns(),
-    ));
-    out.push_str(&format!(
-        "  \"wire\": {{\"bytes\": {}, \"frames_ok\": {}, \"frames_bad\": {}, \
-         \"wall_s\": {:.4}, \"bytes_per_sec\": {:.0}, \"records_sent\": {}, \
-         \"records_delivered\": {}, \"goodput\": {:.4}, \"frames_offered\": {}, \
-         \"frames_lost\": {}, \"frames_forged\": {}}},\n",
-        wire.bytes,
-        wire.frames_ok,
-        wire.frames_bad,
-        wire.wall_s,
-        wire.bytes_per_sec(),
-        wire.records_sent,
-        wire.records_delivered,
-        wire.goodput(),
-        wire.frames_offered,
-        wire.frames_lost,
-        wire.frames_forged,
-    ));
-    out.push_str(&format!("  \"serial_wall_s\": {serial_wall_s:.4},\n"));
-    out.push_str(&format!("  \"parallel_wall_s\": {parallel_wall_s:.4},\n"));
-    out.push_str(&format!(
-        "  \"speedup\": {:.3}\n",
-        serial_wall_s / parallel_wall_s.max(1e-9)
-    ));
-    out.push_str("}\n");
-    out
-}
-
 fn main() {
     let mut effort = Effort::Full;
     let mut seed = 20050607u64; // the paper's year and venue date
     let mut jobs = 0usize; // 0 = auto
     let mut out_dir: Option<String> = None;
-    let mut bench_out: Option<String> = None;
     let mut targets: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -668,9 +72,6 @@ fn main() {
             "--out" => {
                 out_dir = Some(args.next().unwrap_or_else(|| usage()));
             }
-            "--bench-out" => {
-                bench_out = Some(args.next().unwrap_or_else(|| usage()));
-            }
             "--list" => {
                 list_experiments();
                 return;
@@ -679,6 +80,10 @@ fn main() {
                 targets.push(args.next().unwrap_or_else(|| usage()));
             }
             "--help" | "-h" => usage(),
+            flag if flag.starts_with('-') => {
+                eprintln!("error: unknown option {flag:?}");
+                usage();
+            }
             other => targets.push(other.to_string()),
         }
     }
@@ -729,118 +134,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-    }
-
-    if let Some(bench_path) = &bench_out {
-        // Bench pass: re-run the same selection serial and parallel and
-        // verify the reports match while we're at it — the determinism
-        // guarantee, checked on every perf run for free.
-        eprintln!("bench: timing serial pass (--jobs 1)...");
-        experiments::set_jobs(1);
-        distscroll_par::reset_pool_stats();
-        let t_serial = std::time::Instant::now();
-        let serial = experiments::run_ids_timed(&ids, effort, seed);
-        let serial_stage = ExecutorStage::capture("serial", t_serial.elapsed().as_secs_f64());
-        eprintln!("{}", serial_stage.render());
-        eprintln!("bench: timing parallel pass (--jobs {jobs})...");
-        experiments::set_jobs(jobs);
-        distscroll_par::reset_pool_stats();
-        let t_parallel = std::time::Instant::now();
-        let parallel = experiments::run_ids_timed(&ids, effort, seed);
-        let parallel_stage = ExecutorStage::capture("parallel", t_parallel.elapsed().as_secs_f64());
-        eprintln!("{}", parallel_stage.render());
-        let (serial_wall_s, parallel_wall_s) = (serial_stage.wall_s, parallel_stage.wall_s);
-        for ((sr, _), (pr, _)) in serial.iter().zip(&parallel) {
-            assert_eq!(
-                sr.render(),
-                pr.render(),
-                "experiment {} rendered differently serial vs parallel",
-                sr.id
-            );
-        }
-        let rows: Vec<BenchRow> = ids
-            .iter()
-            .zip(serial.iter().zip(&parallel))
-            .map(|(id, ((_, s), (_, p)))| BenchRow {
-                id: (*id).to_string(),
-                serial_s: *s,
-                parallel_s: *p,
-            })
-            .collect();
-        eprintln!("bench: timing event core vs fixed-tick device loop...");
-        let sim = measure_sim_speedup(seed);
-        eprintln!(
-            "bench: sim_speedup {:.2}x (event {:.3} s vs fixed-tick {:.3} s \
-             over {:.0} simulated s)",
-            sim.speedup(),
-            sim.event_wall_s,
-            sim.tick_wall_s,
-            sim.simulated_s
-        );
-        eprintln!("bench: timing single-shard telemetry decode...");
-        let decode = measure_decode_throughput();
-        eprintln!(
-            "bench: decode {:.1} MB/s ({} records)",
-            decode.bytes as f64 / decode.wall_s.max(1e-9) / 1e6,
-            decode.records
-        );
-        eprintln!("bench: timing fleet ingest (multiplexed ARQ sessions)...");
-        let ingest = measure_ingest(seed, distscroll_par::resolve_jobs(jobs));
-        eprintln!(
-            "bench: ingest {:.0} devices/s ({} devices over {} shards, p50 {:.0} µs, \
-             p99 {:.0} µs per round, {} shed, {} evicted)",
-            ingest.devices_per_sec(),
-            ingest.devices,
-            ingest.shards,
-            ingest.p50_us,
-            ingest.p99_us,
-            ingest.shed,
-            ingest.evicted
-        );
-        eprintln!("bench: timing recognizer classify latency...");
-        let recognizer = measure_recognizer();
-        eprintln!(
-            "bench: recognizer classic {:.0} ns/sample, segmented {:.0} ns/sample \
-             ({} samples)",
-            recognizer.classic_ns(),
-            recognizer.segmented_ns(),
-            recognizer.samples
-        );
-        eprintln!("bench: timing wire decode under corruption + adversarial goodput...");
-        let wire = measure_wire(seed);
-        eprintln!(
-            "bench: wire {:.1} MB/s corrupted-stream decode ({} ok / {} bad frames), \
-             goodput {:.1}% ({} of {} records through the harsh channel)",
-            wire.bytes_per_sec() / 1e6,
-            wire.frames_ok,
-            wire.frames_bad,
-            wire.goodput() * 100.0,
-            wire.records_delivered,
-            wire.records_sent
-        );
-        let json = bench_json(
-            &rows,
-            &[serial_stage, parallel_stage],
-            &HotPathBenches {
-                sim,
-                decode,
-                ingest,
-                recognizer,
-                wire,
-            },
-            distscroll_par::resolve_jobs(jobs),
-            effort,
-            seed,
-        );
-        if let Err(e) = std::fs::write(bench_path, &json) {
-            eprintln!("error: cannot write bench report {bench_path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "bench: wrote {bench_path} (serial {serial_wall_s:.2} s, parallel \
-             {parallel_wall_s:.2} s, speedup {:.2}x)",
-            serial_wall_s / parallel_wall_s.max(1e-9)
-        );
     }
 
     println!(

@@ -15,7 +15,6 @@
 use distscroll_hw::arq::{self, ArqRx, LinkQuality};
 use distscroll_hw::link::FrameDecoder;
 use distscroll_hw::HwError;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A periodic state snapshot from the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -376,120 +375,6 @@ fn consume_frame<F: FnMut(Record)>(
     }
 }
 
-/// One timed stage of a host-side run with the executor counters it
-/// consumed — the worker-pool analogue of a device [`StateRecord`].
-///
-/// The host instruments two kinds of activity: what the *device* did
-/// (the records above) and what the *evaluation executor* did while
-/// replaying or simulating it. A stage is a named span of wall-clock
-/// time (`serial pass`, `parallel pass`, …) paired with a
-/// [`distscroll_par::PoolStats`] snapshot; the `--bench-out` report
-/// embeds one object per stage, and the CLI prints the rendered line.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExecutorStage {
-    /// Stage name (stable, lowercase; becomes the JSON `stage` field).
-    pub stage: &'static str,
-    /// Wall-clock seconds the stage took.
-    pub wall_s: f64,
-    /// Executor counters accumulated during the stage (callers reset
-    /// the pool stats when the stage starts).
-    pub stats: distscroll_par::PoolStats,
-}
-
-impl ExecutorStage {
-    /// Captures the current executor counters as the closing snapshot
-    /// of a stage that took `wall_s` seconds.
-    pub fn capture(stage: &'static str, wall_s: f64) -> ExecutorStage {
-        ExecutorStage {
-            stage,
-            wall_s,
-            stats: distscroll_par::pool_stats(),
-        }
-    }
-
-    /// One-line human rendering, e.g. for stderr progress output.
-    pub fn render(&self) -> String {
-        format!(
-            "executor[{}]: {:.2} s wall, {}",
-            self.stage, self.wall_s, self.stats
-        )
-    }
-
-    /// The stage as a JSON object (hand-rendered — the workspace has no
-    /// JSON dependency; stage names and counters need no escaping).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"stage\": \"{}\", \"wall_s\": {:.4}, \"executor\": {{\
-             \"workers_spawned\": {}, \"jobs_submitted\": {}, \"tasks_executed\": {}, \
-             \"inline_claims\": {}, \"helper_steals\": {}, \"peak_live\": {}}}}}",
-            self.stage,
-            self.wall_s,
-            self.stats.workers_spawned,
-            self.stats.jobs_submitted,
-            self.stats.tasks_executed,
-            self.stats.inline_claims,
-            self.stats.helper_steals,
-            self.stats.peak_live,
-        )
-    }
-}
-
-/// Process-wide link-quality totals, merged across every ARQ session the
-/// harness runs (the fault-injection experiment folds each swept link
-/// configuration in here). Mirrors `distscroll_par::pool_stats`: cheap
-/// relaxed atomics, captured into the `--bench-out` report.
-static LQ_SENT: AtomicU64 = AtomicU64::new(0);
-static LQ_RETRANSMITTED: AtomicU64 = AtomicU64::new(0);
-static LQ_ACKED: AtomicU64 = AtomicU64::new(0);
-static LQ_EXPIRED: AtomicU64 = AtomicU64::new(0);
-static LQ_SHED_STATE: AtomicU64 = AtomicU64::new(0);
-static LQ_DELIVERED: AtomicU64 = AtomicU64::new(0);
-static LQ_DUPLICATES: AtomicU64 = AtomicU64::new(0);
-static LQ_OUT_OF_ORDER: AtomicU64 = AtomicU64::new(0);
-
-/// Folds one session's counters into the process-wide totals.
-pub fn record_link_quality(q: &LinkQuality) {
-    LQ_SENT.fetch_add(q.sent, Ordering::Relaxed);
-    LQ_RETRANSMITTED.fetch_add(q.retransmitted, Ordering::Relaxed);
-    LQ_ACKED.fetch_add(q.acked, Ordering::Relaxed);
-    LQ_EXPIRED.fetch_add(q.expired, Ordering::Relaxed);
-    LQ_SHED_STATE.fetch_add(q.shed_state, Ordering::Relaxed);
-    LQ_DELIVERED.fetch_add(q.delivered, Ordering::Relaxed);
-    LQ_DUPLICATES.fetch_add(q.duplicates, Ordering::Relaxed);
-    LQ_OUT_OF_ORDER.fetch_add(q.out_of_order, Ordering::Relaxed);
-}
-
-/// A snapshot of the process-wide link-quality totals.
-pub fn link_quality_totals() -> LinkQuality {
-    LinkQuality {
-        sent: LQ_SENT.load(Ordering::Relaxed),
-        retransmitted: LQ_RETRANSMITTED.load(Ordering::Relaxed),
-        acked: LQ_ACKED.load(Ordering::Relaxed),
-        expired: LQ_EXPIRED.load(Ordering::Relaxed),
-        shed_state: LQ_SHED_STATE.load(Ordering::Relaxed),
-        delivered: LQ_DELIVERED.load(Ordering::Relaxed),
-        duplicates: LQ_DUPLICATES.load(Ordering::Relaxed),
-        out_of_order: LQ_OUT_OF_ORDER.load(Ordering::Relaxed),
-    }
-}
-
-/// Counters as a JSON object (hand-rendered — the workspace has no JSON
-/// dependency), for the `link_quality` section of the bench report.
-pub fn link_quality_json(q: &LinkQuality) -> String {
-    format!(
-        "{{\"sent\": {}, \"retransmitted\": {}, \"acked\": {}, \"expired\": {}, \
-         \"shed_state\": {}, \"delivered\": {}, \"duplicates\": {}, \"out_of_order\": {}}}",
-        q.sent,
-        q.retransmitted,
-        q.acked,
-        q.expired,
-        q.shed_state,
-        q.delivered,
-        q.duplicates,
-        q.out_of_order,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,54 +446,6 @@ mod tests {
         for tag in [b'H', b'A', b'S', b'B', b'<', b'>', b'!'] {
             assert!(EventKind::from_tag(tag).is_some(), "tag {tag}");
         }
-    }
-
-    #[test]
-    fn executor_stage_renders_and_serializes() {
-        let stage = ExecutorStage {
-            stage: "parallel",
-            wall_s: 1.25,
-            stats: distscroll_par::PoolStats {
-                workers_spawned: 3,
-                jobs_submitted: 7,
-                tasks_executed: 40,
-                inline_claims: 30,
-                helper_steals: 10,
-                live: 0,
-                peak_live: 4,
-            },
-        };
-        let line = stage.render();
-        for needle in [
-            "executor[parallel]",
-            "1.25 s",
-            "7 jobs",
-            "40 tasks",
-            "peak 4 live",
-        ] {
-            assert!(line.contains(needle), "render missing {needle:?}: {line}");
-        }
-        let json = stage.to_json();
-        for needle in [
-            "\"stage\": \"parallel\"",
-            "\"wall_s\": 1.2500",
-            "\"tasks_executed\": 40",
-            "\"inline_claims\": 30",
-            "\"helper_steals\": 10",
-            "\"peak_live\": 4",
-            "\"workers_spawned\": 3",
-        ] {
-            assert!(json.contains(needle), "json missing {needle:?}: {json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn executor_stage_capture_reads_live_counters() {
-        let stage = ExecutorStage::capture("probe", 0.5);
-        assert_eq!(stage.stage, "probe");
-        let fresh = distscroll_par::pool_stats();
-        assert!(fresh.tasks_executed >= stage.stats.tasks_executed);
     }
 
     #[test]
@@ -692,39 +529,6 @@ mod tests {
         let dec = StreamDecoder::new();
         assert_eq!(dec.ack_payload(), None);
         assert!(dec.arq_quality().is_none());
-    }
-
-    #[test]
-    fn link_quality_totals_accumulate_and_serialize() {
-        let contribution = LinkQuality {
-            sent: 11,
-            retransmitted: 2,
-            acked: 9,
-            expired: 1,
-            shed_state: 3,
-            delivered: 8,
-            duplicates: 4,
-            out_of_order: 5,
-        };
-        let before = link_quality_totals();
-        record_link_quality(&contribution);
-        let after = link_quality_totals();
-        assert!(after.sent >= before.sent + 11);
-        assert!(after.delivered >= before.delivered + 8);
-        let json = link_quality_json(&contribution);
-        for needle in [
-            "\"sent\": 11",
-            "\"retransmitted\": 2",
-            "\"acked\": 9",
-            "\"expired\": 1",
-            "\"shed_state\": 3",
-            "\"delivered\": 8",
-            "\"duplicates\": 4",
-            "\"out_of_order\": 5",
-        ] {
-            assert!(json.contains(needle), "json missing {needle:?}: {json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -249,8 +249,8 @@ impl Board {
     /// [`Board::step`] with the pre-event-core per-tick cost model: the
     /// display load is recounted by scanning both text buffers through
     /// the font table, exactly as every tick used to. Byte-identical to
-    /// `step` (the recount equals the cache); kept as the baseline driver
-    /// for the `sim_speedup` bench and the cache-equivalence tests.
+    /// `step` (the recount equals the cache); kept as the reference driver
+    /// for the cache-equivalence tests.
     pub fn step_recount(&mut self, dt: SimDuration) {
         let lit = self.display(DisplayRole::Upper).recount_lit_pixels()
             + self.display(DisplayRole::Lower).recount_lit_pixels();

@@ -38,7 +38,7 @@
 //! | `unused-pragma` | everywhere | a valid `lint:allow` pragma that suppresses zero diagnostics |
 //! | `bad-pragma` | everywhere | `lint:allow` pragmas that name no known rule or carry no reason |
 //!
-//! Vendored crates (`rand`, `proptest`, `criterion`) are excluded, the
+//! Vendored crates (`rand`, `proptest`) are excluded, the
 //! same set the clippy CI job excludes. "Library code" excludes
 //! `tests/`, `benches/`, `examples/`, binary entry points
 //! (`main.rs`, `src/bin/`) and `#[cfg(test)]` modules.

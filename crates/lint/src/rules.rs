@@ -1174,10 +1174,10 @@ mod tests {
             rules_at(text, "crates/core/src/firmware.rs"),
             vec![(Rule::RawFilter, 1)]
         );
-        // Test-like code gets no exemption: benches hand-wiring the
+        // Test-like code gets no exemption: tests hand-wiring the
         // stages dodge the budgeted chain exactly like library code.
         assert_eq!(
-            rules_at(text, "crates/bench/benches/micro.rs"),
+            rules_at(text, "crates/eval/tests/determinism.rs"),
             vec![(Rule::RawFilter, 1)]
         );
         // The two sanctioned construction sites: the stage owners.

@@ -24,12 +24,7 @@ const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "results"];
 /// (tracking upstream APIs, not held to the workspace bar — the same
 /// set the clippy CI job excludes) and the linter's own known-bad
 /// fixtures.
-const SKIP_PREFIXES: &[&str] = &[
-    "crates/rand/",
-    "crates/proptest/",
-    "crates/criterion/",
-    "crates/lint/fixtures/",
-];
+const SKIP_PREFIXES: &[&str] = &["crates/rand/", "crates/proptest/", "crates/lint/fixtures/"];
 
 /// Knobs for one workspace scan.
 #[derive(Debug, Clone, Copy)]

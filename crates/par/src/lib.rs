@@ -37,8 +37,8 @@
 //!
 //! The executor is instrumented: [`pool_stats`] reports jobs and tasks
 //! executed, inline claims vs helper steals, the peak number of live
-//! worker threads, and pool size — the `--bench-out` report embeds a
-//! snapshot per timing stage.
+//! worker threads, and pool size; the pipeline benchmark gates on the
+//! snapshot (a run that spawns a worker fails).
 
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -5,8 +5,7 @@
 //! let the harness prove (rather than hope) that the parallelism budget
 //! holds. [`pool_stats`] snapshots them; [`reset_pool_stats`] rewinds
 //! the monotonic counters so a caller can attribute deltas to one stage
-//! of a run (the `--bench-out` report records one snapshot per timing
-//! pass).
+//! of a run.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 

@@ -1,5 +1,5 @@
-//! Executor-stats invariants: the counters the `--bench-out` report
-//! embeds must actually mean what they claim.
+//! Executor-stats invariants: the counters `pool_stats` reports must
+//! actually mean what they claim.
 //!
 //! One test function (phases run sequentially) because the counters are
 //! process-wide — a concurrent sibling test would fold its own jobs
@@ -61,7 +61,7 @@ fn executor_stats_invariants_hold_and_reset_between_jobs() {
     );
 
     // Phase 3: the next job is attributed to a clean slate, so stage
-    // deltas in the bench report never bleed into each other.
+    // deltas never bleed into each other.
     let smaller_budget = 2;
     let _ = par_map(smaller_budget, &items, |_, &x| x + 1);
     let s3 = pool_stats();

@@ -1,11 +1,7 @@
 #!/usr/bin/env bash
 # Single source of truth for cross-script expectations, sourced by
-# smoke.sh and bench_gate.sh — bumping the bench schema or registering
-# a new experiment is a one-line change here instead of a scavenger
-# hunt across scripts.
-
-# Version of the BENCH_eval.json document the harness writes.
-BENCH_SCHEMA=7
+# smoke.sh — registering a new experiment or lint rule is a one-line
+# change here instead of a scavenger hunt across scripts.
 
 # Experiments the CLI must list, run and write reports for.
 N_EXPERIMENTS=17
