@@ -131,8 +131,11 @@ impl DistScrollDevice {
     ///
     /// Panics if the profile is invalid; use [`DistScrollDevice::try_new`]
     /// to handle that as an error.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking constructor (# Panics); try_new is the fallible path"
+    )]
     pub fn new(profile: DeviceProfile, menu: Menu, seed: u64) -> Self {
-        // lint:allow(panic-hygiene) documented panicking constructor (# Panics); try_new is the fallible path
         DistScrollDevice::try_new(profile, menu, seed).expect("valid device profile")
     }
 
@@ -145,8 +148,11 @@ impl DistScrollDevice {
     /// # Panics
     ///
     /// Panics if the profile is invalid.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking constructor (# Panics); try_new is the fallible path"
+    )]
     pub fn new_with_unit_variation(profile: DeviceProfile, menu: Menu, seed: u64) -> Self {
-        // lint:allow(panic-hygiene) documented panicking constructor (# Panics); try_new is the fallible path
         let mut dev = DistScrollDevice::try_new(profile, menu, seed).expect("valid device profile");
         let mut part_rng = StdRng::seed_from_u64(seed ^ 0x9a27);
         let scene = Rc::clone(&dev.scene);
@@ -286,8 +292,8 @@ impl DistScrollDevice {
 
     /// Dispatches one scheduled task and re-registers its next deadline.
     /// This is the *sanctioned stepping site*: the only place outside
-    /// `crates/hw` where simulated time advances (the `fixed-tick` lint
-    /// holds everything else to the scheduler).
+    /// `crates/hw` where simulated time advances (`clippy.toml` disallows
+    /// `Board::step` everywhere else).
     ///
     /// On a hardware fault the tick is re-armed at the current instant
     /// (no time passes), so a caller that retries observes exactly what
@@ -297,10 +303,16 @@ impl DistScrollDevice {
             DeviceTask::FirmwareTick => match self.fw.tick(&mut self.board, &mut self.rng) {
                 Ok(()) => {
                     if recount_display_load {
-                        // lint:allow(fixed-tick) legacy-cost baseline inside the sanctioned dispatch site
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "legacy-cost baseline inside the sanctioned dispatch site"
+                        )]
                         self.board.step_recount(self.fw.tick_period());
                     } else {
-                        // lint:allow(fixed-tick) the event-core dispatch is the sanctioned stepping site
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "the event-core dispatch is the sanctioned stepping site"
+                        )]
                         self.board.step(self.fw.tick_period());
                     }
                     self.sched
@@ -535,6 +547,14 @@ impl DistScrollDevice {
 
     /// Appends the firmware's pending interaction events to `out`,
     /// reusing the caller's buffer across polls.
+    ///
+    /// There is no owned-`Vec` drain that would allocate on every poll:
+    ///
+    /// ```compile_fail,E0599
+    /// use distscroll_core::{device::DistScrollDevice, menu::Menu, profile::DeviceProfile};
+    /// let mut dev = DistScrollDevice::new(DeviceProfile::paper(), Menu::flat(4), 1);
+    /// let events = dev.drain_events();
+    /// ```
     pub fn drain_events_into(&mut self, out: &mut Vec<TimedEvent>) {
         self.fw.drain_events_into(out);
     }
@@ -543,25 +563,6 @@ impl DistScrollDevice {
     /// transferring buffer ownership to the caller.
     pub fn drain_telemetry_into(&mut self, out: &mut Vec<Telemetry>) {
         self.board.drain_received_into(out);
-    }
-
-    /// Drains the firmware's interaction events.
-    ///
-    /// Owned-`Vec` convenience over
-    /// [`DistScrollDevice::drain_events_into`]; poll loops should prefer
-    /// [`DistScrollDevice::poll_events`], which does not allocate.
-    pub fn drain_events(&mut self) -> Vec<TimedEvent> {
-        self.fw.drain_events()
-    }
-
-    /// Drains telemetry frames that have reached the host.
-    ///
-    /// Owned-`Vec` convenience over
-    /// [`DistScrollDevice::drain_telemetry_into`]; poll loops should
-    /// prefer [`DistScrollDevice::poll_telemetry`], which does not
-    /// allocate.
-    pub fn drain_telemetry(&mut self) -> Vec<Telemetry> {
-        self.board.drain_received()
     }
 
     /// ASCII art of the upper (menu) display.
@@ -634,34 +635,26 @@ mod tests {
     }
 
     #[test]
-    fn poll_forms_match_the_owned_drains() {
-        let run = |mode: usize| {
+    fn poll_forms_match_the_drain_into_forms() {
+        let run = |poll: bool| {
             let mut dev = DistScrollDevice::new(DeviceProfile::paper(), Menu::flat(8), 21);
             dev.set_distance(dev.island_center_cm(3).unwrap());
             dev.run_for_ms(500).unwrap();
             dev.click_select().unwrap();
             let mut events: Vec<TimedEvent> = Vec::new();
             let mut frames: Vec<Telemetry> = Vec::new();
-            match mode {
-                0 => {
-                    events = dev.drain_events();
-                    frames = dev.drain_telemetry();
-                }
-                1 => {
-                    dev.drain_events_into(&mut events);
-                    dev.drain_telemetry_into(&mut frames);
-                }
-                _ => {
-                    dev.poll_events(&mut |e: &TimedEvent| events.push(e.clone()));
-                    dev.poll_telemetry(&mut |t: &Telemetry| frames.push(t.clone()));
-                }
+            if poll {
+                dev.poll_events(&mut |e: &TimedEvent| events.push(e.clone()));
+                dev.poll_telemetry(&mut |t: &Telemetry| frames.push(t.clone()));
+            } else {
+                dev.drain_events_into(&mut events);
+                dev.drain_telemetry_into(&mut frames);
             }
             (events, frames)
         };
-        let owned = run(0);
-        assert_eq!(owned, run(1), "drain_into must match the owned drain");
-        assert_eq!(owned, run(2), "poll must match the owned drain");
-        assert!(!owned.0.is_empty() && !owned.1.is_empty());
+        let drained = run(false);
+        assert_eq!(drained, run(true), "poll must match drain_into");
+        assert!(!drained.0.is_empty() && !drained.1.is_empty());
     }
 
     #[test]

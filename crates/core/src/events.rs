@@ -132,15 +132,6 @@ impl EventLog {
         out.append(&mut self.events);
     }
 
-    /// Removes and returns all events.
-    ///
-    /// Owned-`Vec` convenience; poll loops should prefer
-    /// [`EventLog::poll`] or [`EventLog::drain_into`], which reuse
-    /// buffers.
-    pub fn drain(&mut self) -> Vec<TimedEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     /// The most recent event, if any.
     pub fn last(&self) -> Option<&TimedEvent> {
         self.events.last()
@@ -178,7 +169,8 @@ mod tests {
         log.push(t(2), Event::WentBack);
         assert_eq!(log.len(), 2);
         assert_eq!(log.last().unwrap().event, Event::WentBack);
-        let drained = log.drain();
+        let mut drained = Vec::new();
+        log.drain_into(&mut drained);
         assert_eq!(drained.len(), 2);
         assert!(drained[0].at < drained[1].at);
         assert!(log.is_empty());

@@ -184,7 +184,10 @@ impl Firmware {
             last_distance: None,
             press_started_tick: None,
             long_fired: false,
-            // lint:allow(raw-filter) §4.3 standby engine smooths the accelerometer channel, not the scroll input
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "§4.3 standby engine smooths the accelerometer channel, not the scroll input"
+            )]
             accel_ema: Ema::new(0.2),
             accel_window: std::collections::VecDeque::with_capacity(64),
             rest_since_tick: None,
@@ -248,11 +251,6 @@ impl Firmware {
     /// The interaction event log.
     pub fn log(&self) -> &EventLog {
         &self.log
-    }
-
-    /// Drains the interaction event log.
-    pub fn drain_events(&mut self) -> Vec<TimedEvent> {
-        self.log.drain()
     }
 
     /// Visits and clears the pending interaction events — the
@@ -870,6 +868,10 @@ mod tests {
             let mut elapsed = 0;
             while elapsed < ms {
                 self.fw.tick(&mut self.board, &mut self.rng).unwrap();
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the firmware test rig drives the board without a device dispatch"
+                )]
                 self.board.step(tick);
                 elapsed += tick.as_millis();
             }
@@ -1053,7 +1055,8 @@ mod tests {
     fn telemetry_frames_reach_the_host() {
         let mut r = rig();
         r.hold_at(12.0, 800);
-        let frames = r.board.drain_received();
+        let mut frames = Vec::new();
+        r.board.drain_received_into(&mut frames);
         assert!(!frames.is_empty(), "telemetry must flow");
         let mut dec = distscroll_hw::link::FrameDecoder::new();
         let mut payloads = Vec::new();

@@ -38,6 +38,10 @@ pub fn volts_to_code(volts: f64) -> u16 {
 /// The fitted curve the firmware calibrates at boot, exactly as the
 /// authors did: sample the sensor at known distances across the valid
 /// range and fit the idealized law through the points.
+#[expect(
+    clippy::expect_used,
+    reason = "the ideal curve always fits its own law; covered by unit tests"
+)]
 pub fn paper_curve() -> InverseCurveFit {
     let points: Vec<(f64, f64)> = (0..=26)
         .map(|i| {
@@ -45,7 +49,6 @@ pub fn paper_curve() -> InverseCurveFit {
             (d, gp2d120::ideal_voltage(d))
         })
         .collect();
-    // lint:allow(panic-hygiene) the ideal curve always fits its own law; covered by unit tests
     fit_inverse_curve(&points).expect("the ideal curve always fits its own law")
 }
 

@@ -162,10 +162,13 @@ impl Navigator {
     }
 
     /// The entries at the current level.
+    #[expect(
+        clippy::expect_used,
+        reason = "the navigator only ever stores paths it has validated while descending"
+    )]
     pub fn entries(&self) -> &[MenuNode] {
         self.menu
             .node_at(&self.path)
-            // lint:allow(panic-hygiene) the navigator only ever stores paths it has validated while descending
             .expect("navigator path is always valid")
             .children()
     }

@@ -2,6 +2,11 @@
 //! GP2D120 estimates distances with a bias until the jig calibration
 //! runs; the stored record survives "power cycles" (it lives in EEPROM).
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail the test by panicking"
+)]
+
 use distscroll_core::device::DistScrollDevice;
 use distscroll_core::menu::Menu;
 use distscroll_core::profile::DeviceProfile;

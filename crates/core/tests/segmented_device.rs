@@ -2,6 +2,11 @@
 //! device: the profile knob selects it, navigation works through it,
 //! and the closed loop stays deterministic.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail the test by panicking"
+)]
+
 use distscroll_core::device::DistScrollDevice;
 use distscroll_core::events::TimedEvent;
 use distscroll_core::menu::Menu;

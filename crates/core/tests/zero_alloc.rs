@@ -9,6 +9,11 @@
 //! the host renders from telemetry — because that is the configuration
 //! whose trial loops the eval harness runs hottest.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail the test by panicking"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -27,6 +32,10 @@ thread_local! {
 /// Counts allocation calls, then forwards everything to [`System`].
 struct CountingAlloc;
 
+#[expect(
+    unsafe_code,
+    reason = "a counting GlobalAlloc forwards to System, which takes unsafe"
+)]
 // SAFETY: every operation forwards verbatim to the system allocator;
 // the only addition is a thread-local counter bump, which allocates
 // nothing and upholds the GlobalAlloc contract by construction.

@@ -64,6 +64,10 @@ pub fn trial_block_env(
 /// Spurious highlight changes per second while dwelling on one island
 /// centre under given conditions — the flicker the input filters exist
 /// to suppress.
+#[expect(
+    clippy::expect_used,
+    reason = "battery is sized for the scripted run; Err means the harness broke, not data"
+)]
 pub fn dwell_flicker(
     profile: DeviceProfile,
     environment: Option<(
@@ -80,16 +84,17 @@ pub fn dwell_flicker(
         dev.set_surface(surface);
         dev.set_ambient(ambient);
     }
-    // lint:allow(panic-hygiene) entry 5 exists in the 10-entry paper menu by construction
+    #[expect(
+        clippy::expect_used,
+        reason = "entry 5 exists in the 10-entry paper menu by construction"
+    )]
     let cm = dev.island_center_cm(5).expect("mid entry exists");
     dev.set_distance(cm);
-    // lint:allow(panic-hygiene) battery is sized for the scripted run; Err means the harness broke, not data
     dev.run_for_ms(500).expect("fresh battery");
     dev.poll_events(&mut |_: &distscroll_core::events::TimedEvent| {});
     let t0 = dev.now();
     let mut changes = 0u32;
     while (dev.now() - t0).as_secs_f64() < secs {
-        // lint:allow(panic-hygiene) battery is sized for the scripted run; Err means the harness broke, not data
         dev.run_for_ms(50).expect("fresh battery");
         dev.poll_events(&mut |e: &distscroll_core::events::TimedEvent| {
             if matches!(e.event, distscroll_core::events::Event::Highlight { .. }) {

@@ -77,6 +77,10 @@ pub fn run_session(condition: LinkCondition, arq: bool, session_ms: u64, seed: u
 /// transport must deliver the event stream faithfully whichever front
 /// end produced it (the segmented recognizer coalesces highlights, so
 /// its sessions exercise a sparser, burstier record pattern).
+#[expect(
+    clippy::expect_used,
+    reason = "battery is sized for the scripted run; Err means the harness broke, not data"
+)]
 pub fn run_session_with_recognizer(
     condition: LinkCondition,
     arq: bool,
@@ -127,14 +131,11 @@ pub fn run_session_with_recognizer(
         // moving; periodic clicks add activations and back-ups.
         let phase = (s as f64 * 0.37).sin();
         dev.set_distance(17.0 + 13.0 * phase);
-        // lint:allow(panic-hygiene) battery is sized for the scripted run; Err means the harness broke, not data
         dev.run_for_ms(100).expect("fresh battery");
         if s % 7 == 3 {
-            // lint:allow(panic-hygiene) battery is sized for the scripted run; Err means the harness broke, not data
             dev.click_select().expect("fresh battery");
         }
         if s % 11 == 6 {
-            // lint:allow(panic-hygiene) battery is sized for the scripted run; Err means the harness broke, not data
             dev.click_back().expect("fresh battery");
         }
         dev.poll_events(&mut |e: &TimedEvent| {
@@ -147,7 +148,6 @@ pub fn run_session_with_recognizer(
     // Idle tail: the hand rests, the retransmit queue drains through
     // its exponential backoff, late acks land.
     for _ in 0..30 {
-        // lint:allow(panic-hygiene) battery is sized for the scripted run; Err means the harness broke, not data
         dev.run_for_ms(100).expect("fresh battery");
         dev.poll_events(&mut |e: &TimedEvent| {
             if let Some(kind) = EventKind::from_tag(e.event.wire_tag()) {

@@ -24,6 +24,10 @@ use crate::task::TaskPlan;
 use super::{jobs, Effort, ExperimentReport};
 
 /// Runs E3.
+#[expect(
+    clippy::panic,
+    reason = "conditions are seeded to yield summarizable trials; degeneracy is a harness bug"
+)]
 pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let n_users = effort.pick(4, 12);
     let trials = effort.pick(8, 24);
@@ -91,7 +95,6 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
             },
         );
         let stats = summarize(&records)
-            // lint:allow(panic-hygiene) conditions are seeded to yield summarizable trials; degeneracy is a harness bug
             .unwrap_or_else(|e| panic!("direction condition {label:?} degenerate: {e}"));
         table.row(&[
             label.into(),

@@ -43,6 +43,10 @@ pub struct BrowseOutcome {
 
 /// Sweeps the hand linearly from `from_cm` to `to_cm` over `sweep_s`
 /// seconds and records which entries get highlighted.
+#[expect(
+    clippy::expect_used,
+    reason = "battery is sized for the scripted run; Err means the harness broke, not data"
+)]
 pub fn browse_sweep(
     profile: DeviceProfile,
     n: usize,
@@ -54,7 +58,6 @@ pub fn browse_sweep(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut dev = DistScrollDevice::new(profile, Menu::flat(n), rng.gen());
     dev.set_distance(from_cm);
-    // lint:allow(panic-hygiene) battery is sized for the scripted run; Err means the harness broke, not data
     dev.run_for_ms(400).expect("fresh battery");
     dev.poll_events(&mut |_: &TimedEvent| {});
 

@@ -78,7 +78,10 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
         .filter(|p| (gp2d120::MIN_VALID_CM..=gp2d120::MAX_VALID_CM).contains(&p.distance_cm))
         .map(|p| (p.distance_cm, p.volts))
         .collect();
-    // lint:allow(panic-hygiene) the synthetic calibration sweep always yields enough valid points
+    #[expect(
+        clippy::expect_used,
+        reason = "the synthetic calibration sweep always yields enough valid points"
+    )]
     let fit = fit_inverse_curve(&valid).expect("enough valid calibration points");
 
     let mut table = Table::new(
@@ -132,10 +135,13 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
 
     // Shape checks mirroring the paper's claims.
     let monotone = valid.windows(2).all(|w| w[1].1 < w[0].1 + 0.02);
+    #[expect(
+        clippy::expect_used,
+        reason = "the figure-4 sweep is non-empty by construction"
+    )]
     let peak = points
         .iter()
         .max_by(|a, b| a.volts.total_cmp(&b.volts))
-        // lint:allow(panic-hygiene) the figure-4 sweep is non-empty by construction
         .expect("points exist");
     let peak_near_3cm = (2.0..=4.5).contains(&peak.distance_cm);
     let fit_good = fit.r2 > 0.985;

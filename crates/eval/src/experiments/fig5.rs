@@ -26,7 +26,10 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
         seed,
     );
     let data: Vec<(f64, f64)> = points.iter().map(|p| (p.distance_cm, p.volts)).collect();
-    // lint:allow(panic-hygiene) datasheet coordinates are strictly positive, so the log-log fit is defined
+    #[expect(
+        clippy::expect_used,
+        reason = "datasheet coordinates are strictly positive, so the log-log fit is defined"
+    )]
     let fit = fit_loglog(&data).expect("positive coordinates by construction");
 
     let mut table = Table::new(

@@ -26,8 +26,11 @@ use super::{Effort, ExperimentReport};
 /// breathing sway of a few millimetres at ~0.25 Hz.
 pub fn chatter_rate(gap_fraction: f64, rest_cm: f64, seconds: f64, seed: u64) -> f64 {
     let curve = paper_curve();
+    #[expect(
+        clippy::expect_used,
+        reason = "ten entries always fit the 4-30 cm range (paper geometry)"
+    )]
     let map = IslandMap::build(10, 4.0, 30.0, gap_fraction, &curve)
-        // lint:allow(panic-hygiene) ten entries always fit the 4-30 cm range (paper geometry)
         .expect("ten entries always fit the range");
     let mut state = MappingState::new();
     let mut tremor = Tremor::new(0.10, 9.0);
@@ -61,7 +64,10 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let mut all_ok = true;
 
     for &n in sizes {
-        // lint:allow(panic-hygiene) swept sizes are chosen to fit the range; Err would be a sweep bug
+        #[expect(
+            clippy::expect_used,
+            reason = "swept sizes are chosen to fit the range; Err would be a sweep bug"
+        )]
         let map = IslandMap::build(n, 4.0, 30.0, 0.35, &curve).expect("sizes fit the range");
         let mut table = Table::new(
             format!("island mapping for {n} entries (gap fraction 0.35)"),

@@ -59,6 +59,10 @@ pub fn characterize(drop_prob: f64, ber: f64, n_frames: usize, seed: u64) -> Lin
 }
 
 /// Runs L1.
+#[expect(
+    clippy::expect_used,
+    reason = "battery is sized for the scripted run; Err means the harness broke, not data; outcomes holds one row per condition and conditions are non-empty"
+)]
 pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let n_frames = effort.pick(2_000, 20_000);
     let conditions: &[(f64, f64)] = effort.pick(
@@ -100,7 +104,6 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let session_ms = effort.pick(2_000, 10_000);
     let mut elapsed = 0u64;
     while elapsed < session_ms {
-        // lint:allow(panic-hygiene) battery is sized for the scripted run; Err means the harness broke, not data
         dev.run_for_ms(100).expect("fresh battery");
         elapsed += 100;
         dev.poll_telemetry(&mut |t: &Telemetry| {
@@ -149,9 +152,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
                 "clean channel delivers {:.2}% of frames; at 20% drop + 0.5% BER delivery falls \
                  to {:.1}% with {:.1}% crc-rejected",
                 outcomes[0].delivered * 100.0,
-                // lint:allow(panic-hygiene) outcomes holds one row per condition and conditions are non-empty
                 outcomes.last().expect("conditions exist").delivered * 100.0,
-                // lint:allow(panic-hygiene) outcomes holds one row per condition and conditions are non-empty
                 outcomes.last().expect("conditions exist").crc_rejected * 100.0
             ),
             format!(

@@ -122,6 +122,10 @@ pub fn run_continuous_trial(
 
 /// Runs one trial with the chunked strategy: dwell past the edges to
 /// page, then aim locally within the 10-entry page.
+#[expect(
+    clippy::unreachable,
+    reason = "paper_chunked() constructs the Chunked variant by definition"
+)]
 pub fn run_chunked_trial(
     n: usize,
     start: usize,
@@ -133,7 +137,6 @@ pub fn run_chunked_trial(
     let strategy = LongMenuStrategy::paper_chunked();
     let page_size = match strategy {
         LongMenuStrategy::Chunked { page_size, .. } => page_size,
-        // lint:allow(panic-hygiene) paper_chunked() constructs the Chunked variant by definition
         _ => unreachable!(),
     };
     let profile = DeviceProfile {
@@ -349,6 +352,10 @@ pub fn run_sdaz_trial(
 }
 
 /// Runs E4.
+#[expect(
+    clippy::expect_used,
+    reason = "the size sweep is a non-empty constant table"
+)]
 pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     // Quick mode probes only the deep end: 200 hair-thin islands sit
     // well below the ADC's resolving power, so the naive mapping's
@@ -419,7 +426,6 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
         // The naive mapping only has to lose where menus are genuinely
         // long (the largest size tested); good filtering keeps it alive
         // at 50 entries, which is itself a finding.
-        // lint:allow(panic-hygiene) the size sweep is a non-empty constant table
         if n == *sizes.last().expect("sizes not empty") {
             chunked_beats_continuous &= chunked_ok > continuous_ok;
         }

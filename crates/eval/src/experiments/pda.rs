@@ -153,10 +153,13 @@ pub fn run_onboard_trial(
 }
 
 /// Battery state of charge after an idle session of `minutes`.
+#[expect(
+    clippy::expect_used,
+    reason = "battery capacity is the measured quantity; running dry mid-script is a harness bug"
+)]
 fn soc_after_idle(profile: DeviceProfile, minutes: u64, seed: u64) -> f64 {
     let mut dev = DistScrollDevice::new(profile, Menu::flat(8), seed);
     dev.set_distance(15.0);
-    // lint:allow(panic-hygiene) battery capacity is the measured quantity; running dry mid-script is a harness bug
     dev.run_for_ms(minutes * 60_000).expect("fresh battery");
     dev.board().battery_soc()
 }

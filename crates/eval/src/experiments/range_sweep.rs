@@ -44,6 +44,10 @@ pub struct RangeOutcome {
 }
 
 /// Holds the device at every island centre and checks the highlight.
+#[expect(
+    clippy::expect_used,
+    reason = "park entry index is in range for the 10-entry paper menu"
+)]
 pub fn reachable_fraction(profile: &DeviceProfile, n: usize, seed: u64) -> f64 {
     let mut dev = DistScrollDevice::new(profile.clone(), Menu::flat(n), seed);
     let mut ok = 0usize;
@@ -51,7 +55,6 @@ pub fn reachable_fraction(profile: &DeviceProfile, n: usize, seed: u64) -> f64 {
         // Park on a *different* mid-range island first so "highlight never
         // moved" cannot masquerade as "entry reached".
         let park = if idx == n / 2 { n / 2 - 1 } else { n / 2 };
-        // lint:allow(panic-hygiene) park entry index is in range for the 10-entry paper menu
         dev.set_distance(dev.island_center_cm(park).expect("park entry exists"));
         if dev.run_for_ms(600).is_err() {
             break;
@@ -59,7 +62,10 @@ pub fn reachable_fraction(profile: &DeviceProfile, n: usize, seed: u64) -> f64 {
         if dev.highlighted() != park {
             continue; // even the park failed; the entry cannot be verified
         }
-        // lint:allow(panic-hygiene) target entry index is in range for the 10-entry paper menu
+        #[expect(
+            clippy::expect_used,
+            reason = "target entry index is in range for the 10-entry paper menu"
+        )]
         let cm = dev.island_center_cm(idx).expect("entry exists");
         dev.set_distance(cm);
         if dev.run_for_ms(600).is_err() {
@@ -183,11 +189,20 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     }
 
     let at = |far: f64| outcomes.iter().find(|o| (o.far_cm - far).abs() < 0.5);
-    // lint:allow(panic-hygiene) the 30 cm condition is in the constant sweep table
+    #[expect(
+        clippy::expect_used,
+        reason = "the 30 cm condition is in the constant sweep table"
+    )]
     let r30 = at(30.0).expect("30 cm condition always runs");
-    // lint:allow(panic-hygiene) the 38 cm condition is in the constant sweep table
+    #[expect(
+        clippy::expect_used,
+        reason = "the 38 cm condition is in the constant sweep table"
+    )]
     let r38 = at(38.0).expect("38 cm condition always runs");
-    // lint:allow(panic-hygiene) the 8 cm condition is in the constant sweep table
+    #[expect(
+        clippy::expect_used,
+        reason = "the 8 cm condition is in the constant sweep table"
+    )]
     let r8 = at(8.0).expect("8 cm condition always runs");
 
     let paper_range_fully_reachable = r30.reachable >= 0.999;

@@ -289,6 +289,10 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
 
     // The benign cell calibrates; the harsh cell is the headline.
     let benign = &outcomes[0];
+    #[expect(
+        clippy::expect_used,
+        reason = "the cell grid always contains its own maximum"
+    )]
     let harsh_i = cells
         .iter()
         .enumerate()
@@ -297,7 +301,6 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
                 .total_cmp(&(b.tremor_amp_cm + b.incursions_per_s))
         })
         .map(|(i, _)| i)
-        // lint:allow(panic-hygiene) the cell grid always contains its own maximum
         .expect("non-empty cell grid");
     let harsh = &outcomes[harsh_i];
 

@@ -50,7 +50,10 @@ pub fn refit_under(surface: Surface, ambient: AmbientLight, seed: u64) -> (f64, 
         }
         points.push((d, sum / 10.0));
     }
-    // lint:allow(panic-hygiene) the 14-point synthetic calibration set is always fittable
+    #[expect(
+        clippy::expect_used,
+        reason = "the 14-point synthetic calibration set is always fittable"
+    )]
     let fit = fit_inverse_curve(&points).expect("14 calibration points");
     (fit.a, fit.d0, fit.rmse * 1000.0)
 }
@@ -74,7 +77,10 @@ pub fn error_rate_under(surface: Surface, ambient: AmbientLight, trials: usize, 
             n_entries: n,
             toward_is_down: true,
         };
-        // lint:allow(panic-hygiene) start entry index is in range for the 10-entry paper menu
+        #[expect(
+            clippy::expect_used,
+            reason = "start entry index is in range for the 10-entry paper menu"
+        )]
         let start_cm = dev.island_center_cm(start).expect("valid start");
         dev.set_distance(start_cm);
         if dev.run_for_ms(400).is_err() {

@@ -116,7 +116,10 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     }
 
     let (first_block_time, first_block_err) = block_stats[0];
-    // lint:allow(panic-hygiene) the study always runs at least one block, so block_stats is non-empty
+    #[expect(
+        clippy::expect_used,
+        reason = "the study always runs at least one block, so block_stats is non-empty"
+    )]
     let (last_block_time, last_block_err) = *block_stats.last().expect("blocks exist");
 
     let discovery_ok = discovery.p >= 0.95;

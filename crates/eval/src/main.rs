@@ -91,19 +91,22 @@ fn main() {
         usage();
     }
 
+    // Every target is checked, even beside `all`, so a typo never runs.
+    let named: Vec<&str> = targets
+        .iter()
+        .filter(|t| *t != "all")
+        .map(|t| match experiments::find(t) {
+            Some(e) => e.id(),
+            None => {
+                eprintln!("error: unknown experiment id {t:?} (try --list)");
+                usage();
+            }
+        })
+        .collect();
     let ids: Vec<&str> = if targets.iter().any(|t| t == "all") {
         REGISTRY.iter().map(|e| e.id()).collect()
     } else {
-        targets
-            .iter()
-            .map(|t| match experiments::find(t) {
-                Some(e) => e.id(),
-                None => {
-                    eprintln!("error: unknown experiment id {t:?} (try --list)");
-                    usage();
-                }
-            })
-            .collect()
+        named
     };
 
     experiments::set_jobs(jobs);

@@ -70,9 +70,12 @@ impl Table {
     /// experiment builds its rows against a header list two lines above,
     /// so a mismatch is a bug in that experiment, never runtime data;
     /// use [`Table::try_row`] where the width is not statically evident.
+    #[expect(
+        clippy::panic,
+        reason = "documented panic (# Panics): ragged rows are caller bugs caught in tests, not data"
+    )]
     pub fn row(&mut self, cells: &[String]) -> &mut Self {
         self.try_row(cells)
-            // lint:allow(panic-hygiene) documented panic (# Panics): ragged rows are caller bugs caught in tests, not data
             .unwrap_or_else(|e| panic!("row width must match headers: {e}"))
     }
 

@@ -117,11 +117,11 @@ impl PdaScreen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{EventRecord, StateRecord};
+    use crate::telemetry::{EventRecord, Stamp16, StateRecord};
 
     fn state(highlighted: u8, level: u8) -> Record {
         Record::State(StateRecord {
-            stamp: 0,
+            stamp: Stamp16::default(),
             code: 100,
             island: Some(0),
             highlighted,
@@ -131,7 +131,7 @@ mod tests {
 
     fn event(kind: EventKind, aux: u8) -> Record {
         Record::Event(EventRecord {
-            stamp: 0,
+            stamp: Stamp16::default(),
             kind,
             aux,
         })

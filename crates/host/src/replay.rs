@@ -125,7 +125,7 @@ impl Trajectory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{Record, StateRecord};
+    use crate::telemetry::{Record, Stamp16, StateRecord};
     use distscroll_sensors::calibrate::fit_inverse_curve;
     use distscroll_sensors::gp2d120;
 
@@ -142,7 +142,7 @@ mod tests {
         for (i, &d) in ds.iter().enumerate() {
             let code = (c.voltage_at(d) / 5.0 * 1023.0).round() as u16;
             log.ingest(Record::State(StateRecord {
-                stamp: (i * 10) as u16,
+                stamp: Stamp16::new((i * 10) as u16),
                 code,
                 island: None,
                 level: 0,
@@ -190,7 +190,7 @@ mod tests {
     fn out_of_view_codes_are_skipped() {
         let mut log = SessionLog::new();
         log.ingest(Record::State(StateRecord {
-            stamp: 0,
+            stamp: Stamp16::default(),
             code: 5, // deep below the sensor floor
             island: None,
             level: 0,

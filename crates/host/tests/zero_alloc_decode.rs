@@ -8,6 +8,11 @@
 //! `zero_alloc` test, tallying per thread so the multi-threaded test
 //! harness cannot pollute the count.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "test helpers fail the test by panicking"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -23,6 +28,10 @@ thread_local! {
 /// Counts allocation calls, then forwards everything to [`System`].
 struct CountingAlloc;
 
+#[expect(
+    unsafe_code,
+    reason = "a counting GlobalAlloc forwards to System, which takes unsafe"
+)]
 // SAFETY: every operation forwards verbatim to the system allocator;
 // the only addition is a thread-local counter bump, which allocates
 // nothing and upholds the GlobalAlloc contract by construction.

@@ -21,6 +21,11 @@
 //! sensor physics can live in `distscroll-sensors` without this crate
 //! depending on it.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the board is the stepping site the event-core dispatch drives"
+)]
+
 use rand::Rng;
 
 use crate::adc::Adc10;
@@ -341,19 +346,25 @@ impl Board {
         self.button_mut(id).release(now);
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "every ButtonId is wired at construction; a miss is a board-construction bug"
+    )]
     fn button(&self, id: ButtonId) -> &Button {
         self.buttons
             .iter()
             .find(|b| b.id() == id)
-            // lint:allow(panic-hygiene) every ButtonId is wired at construction; a miss is a board-construction bug
             .expect("all buttons wired")
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "every ButtonId is wired at construction; a miss is a board-construction bug"
+    )]
     fn button_mut(&mut self, id: ButtonId) -> &mut Button {
         self.buttons
             .iter_mut()
             .find(|b| b.id() == id)
-            // lint:allow(panic-hygiene) every ButtonId is wired at construction; a miss is a board-construction bug
             .expect("all buttons wired")
     }
 
@@ -380,6 +391,10 @@ impl Board {
     }
 
     /// Read-only view of a display's state.
+    #[expect(
+        clippy::expect_used,
+        reason = "both displays are attached at construction and never removed"
+    )]
     pub fn display(&self, role: DisplayRole) -> &Bt96040 {
         let addr = match role {
             DisplayRole::Upper => UPPER_DISPLAY_ADDR,
@@ -388,7 +403,6 @@ impl Board {
         self.bus
             .device(addr)
             .and_then(|d| d.as_any().downcast_ref::<Bt96040>())
-            // lint:allow(panic-hygiene) both displays are attached at construction and never removed
             .expect("displays are attached at construction")
     }
 
@@ -449,17 +463,6 @@ impl Board {
     pub fn drain_received_into(&mut self, out: &mut Vec<Telemetry>) {
         self.collect_arrived();
         out.append(&mut self.arrived);
-    }
-
-    /// Frames that have arrived at the host by now, in arrival order.
-    ///
-    /// Owned-`Vec` convenience over [`Board::drain_received_into`]; poll
-    /// loops should prefer [`Board::poll_received`], which does not
-    /// allocate.
-    pub fn drain_received(&mut self) -> Vec<Telemetry> {
-        let mut out = Vec::new();
-        self.drain_received_into(&mut out);
-        out
     }
 
     /// Frames handed to the radio since boot.
@@ -679,12 +682,11 @@ mod tests {
         let mut board = Board::new();
         let mut rng = StdRng::seed_from_u64(0);
         board.send_telemetry(b"adc=512", &mut rng);
-        assert!(
-            board.drain_received().is_empty(),
-            "nothing arrives instantly"
-        );
+        let mut got = Vec::new();
+        board.drain_received_into(&mut got);
+        assert!(got.is_empty(), "nothing arrives instantly");
         board.step(SimDuration::from_millis(50));
-        let got = board.drain_received();
+        board.drain_received_into(&mut got);
         assert_eq!(got.len(), 1);
         let mut dec = crate::link::FrameDecoder::new();
         let frames = dec.push_all(&got[0].bytes);
@@ -711,7 +713,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_received_into_matches_legacy_drain() {
+    fn drain_received_into_matches_poll_received() {
         let make = || {
             let mut board = Board::new();
             let mut rng = StdRng::seed_from_u64(7);
@@ -722,11 +724,12 @@ mod tests {
             board.step(SimDuration::from_millis(40));
             board
         };
-        let legacy = make().drain_received();
+        let mut polled = Vec::new();
+        make().poll_received(&mut |t: &Telemetry| polled.push(t.clone()));
         let mut into = Vec::new();
         make().drain_received_into(&mut into);
-        assert_eq!(legacy, into);
-        assert!(!legacy.is_empty());
+        assert_eq!(polled, into);
+        assert!(!polled.is_empty());
     }
 
     #[test]

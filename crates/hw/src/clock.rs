@@ -265,6 +265,10 @@ impl SimClock {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the clock tests exercise advance directly"
+)]
 mod tests {
     use super::*;
 

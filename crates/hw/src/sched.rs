@@ -12,7 +12,7 @@
 //! The queue is a binary heap keyed by `(SimInstant, registration
 //! sequence)`. Two deadlines due at the same instant fire in the order
 //! they were registered — **never** in pointer, hash-map or allocation
-//! order (the same discipline the `unordered-iter` lint enforces
+//! order (the same discipline `clippy.toml`'s `HashMap` ban enforces
 //! elsewhere). The sequence number is a plain monotone counter, so a
 //! replay of the same schedule calls produces the same firing order on
 //! every run, every platform, every `--jobs` value.

@@ -13,6 +13,11 @@
 //! data over [`AdversarialChannel::harsh`], acks over a bursty return
 //! path, with the exact delivered-prefix oracle.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail the test by panicking"
+)]
+
 use distscroll_hw::arq::{decode_ack, decode_data, ArqClass, ArqRx, ArqTx};
 use distscroll_hw::link::{encode_frame, AdversarialChannel, FrameDecoder, GilbertElliott};
 use proptest::prelude::*;

@@ -38,6 +38,8 @@
 //! Construction of raw `StreamDecoder`s is confined to the shard
 //! registry ([`shard`]) and enforced by the `raw-decoder` lint rule:
 //! every session in this crate exists in exactly one shard's books.
+//! The capture-side [`loadgen`] is the one other exempt file; its
+//! decoders measure ground truth outside any shard.
 
 pub mod loadgen;
 pub mod service;

@@ -163,7 +163,6 @@ fn capture_scripted(
 
     // The capture-side host: acks keep the device's window moving, and
     // its delivery count is the template's ground truth.
-    // lint:allow(raw-decoder) capture-side ack endpoint for template recording, not a fleet session
     let mut decoder = StreamDecoder::with_arq();
     let mut chunks: Vec<Vec<u8>> = Vec::new();
     let mut events = 0u64;
@@ -198,7 +197,6 @@ fn capture_scripted(
 
     // Measure the ground truth the fleet path reproduces: replay the
     // captured stream through the same kind of decoder a shard opens.
-    // lint:allow(raw-decoder) ground-truth replay at capture time, outside any shard's books
     let mut replay = StreamDecoder::with_arq_resync();
     for chunk in &chunks {
         replay.push_bytes_with(chunk, |rec| {
@@ -240,11 +238,14 @@ impl CohortLoad {
     }
 
     /// The template device `d` replays.
+    #[expect(
+        clippy::expect_used,
+        reason = "new() refuses empty template sets, so the modulo index is in range"
+    )]
     fn template_of(&self, device: u64) -> &Template {
         let n = self.templates.len() as u64;
         self.templates
             .get((device % n) as usize)
-            // lint:allow(panic-hygiene) new() refuses empty template sets, so the modulo index is in range
             .expect("non-empty template set")
     }
 
@@ -318,7 +319,6 @@ mod tests {
     #[test]
     fn clean_template_replays_exactly_through_fresh_decoder() {
         let t = capture_template(LinkProfile::CLEAN, 12, 100, 7);
-        // lint:allow(raw-decoder) test replays a template outside any shard to prove decode fidelity
         let mut dec = StreamDecoder::with_arq_resync();
         let mut n = 0u64;
         for chunk in &t.rounds {

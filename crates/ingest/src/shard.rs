@@ -1,7 +1,8 @@
 //! The session registry: one shard's exclusive slice of the fleet.
 //!
-//! This module is the only place in the crate allowed to construct a
-//! raw [`StreamDecoder`] (enforced by the `raw-decoder` lint rule) —
+//! This module is the only place in the crate that opens a fleet
+//! session's raw [`StreamDecoder`] (enforced by the `raw-decoder` lint
+//! rule, which also exempts the capture-side `loadgen`) —
 //! a session that is not in a shard's books is a session whose memory
 //! and counters nobody bounds.
 
@@ -144,9 +145,8 @@ impl Shard {
                     self.evict_lru();
                 }
                 self.stats.sessions_opened += 1;
-                // No pragma needed: the raw-decoder rule exempts this
-                // file — the shard registry IS the sanctioned
-                // construction site.
+                // The raw-decoder rule exempts this file: the shard
+                // registry IS the sanctioned construction site.
                 let decoder = StreamDecoder::with_arq_resync();
                 self.sessions.insert(
                     batch.device,

@@ -1,23 +1,15 @@
 //@ path: crates/ingest/src/batcher.rs
+//@ expect: guard-across-fanout@7
 //@ expect: guard-across-fanout@13
-//@ expect: guard-across-fanout@20
-
-// Holding a mutex guard across a par_map fan-out: workers contending
-// on the guard while the caller holds a pool token is the deadlock
-// shape the global --jobs budget makes real.
-
-use std::sync::Mutex;
 
 fn flush(stats: &Mutex<u64>, jobs: &[u32]) {
     let guard = stats.lock();
     let totals = distscroll_par::par_map(jobs, &(), |_, j| u64::from(*j));
     drop(guard);
-    let _ = totals;
 }
 
 fn flush_unpoisoned(stats: &Mutex<u64>, jobs: &[u32]) {
     let guard = lock_unpoisoned(stats);
     let totals = distscroll_par::par_map_ctx(jobs, &(), |_, _, j| u64::from(*j));
     drop(guard);
-    let _ = totals;
 }

@@ -1,21 +1,11 @@
-//@ path: crates/ingest/src/batcher_ok.rs
+//@ path: crates/ingest/src/batcher.rs
 
-// The two sanctioned shapes: drop the guard before fanning out, or
-// take the lock inside the worker closure (a temporary that never
-// spans the fan-out).
-
-use std::sync::Mutex;
-
-fn flush(stats: &Mutex<u64>, jobs: &[u32]) {
+// Drop the guard before fanning out, or lock inside the worker.
+fn flush(stats: &Mutex<u64>, shards: &[Mutex<u64>], jobs: &[u32]) {
     let guard = stats.lock();
     let base = *guard;
     drop(guard);
-    let totals = distscroll_par::par_map(jobs, &base, |b, j| *b + u64::from(*j));
-    let _ = totals;
-}
-
-fn flush_per_worker(shards: &[Mutex<u64>], jobs: &[u32]) {
     distscroll_par::par_map(jobs, shards, |shards, j| {
-        *lock_unpoisoned(&shards[*j as usize]) += 1;
+        *lock_unpoisoned(&shards[*j as usize]) += base;
     });
 }

@@ -1,12 +1,11 @@
 //@ path: crates/ingest/src/service.rs
-//@ expect: raw-decoder@7
+//@ expect: raw-decoder@8
+//@ expect: raw-decoder@9
 
-// A fleet session opened outside the shard registry: the decoder's
+// Fleet sessions opened outside the shard registry: the decoders'
 // counters escape the shard's books.
 fn rogue_session() {
     let rogue = StreamDecoder::with_arq_resync();
-    let _ = rogue;
-    // lint:allow(raw-decoder) capture-time ground truth, outside any shard's books
-    let sanctioned = StreamDecoder::with_arq();
-    let _ = sanctioned;
+    let plain = StreamDecoder::default();
+    let _ = (rogue, plain);
 }

@@ -48,7 +48,7 @@ use crate::stats;
 /// section — so a poisoned mutex can only mean a panic inside one of
 /// our own short, assignment-only sections, after which the protected
 /// state is still consistent. Recovering keeps the executor itself free
-/// of panic paths (the workspace panic-hygiene lint) and stops one
+/// of panic paths (`clippy::unwrap_used` is denied) and stops one
 /// worker's panic from cascading into unrelated jobs.
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -139,13 +139,13 @@ trait Drain: Sync {
 /// access.
 struct ErasedJob(*const (dyn Drain + 'static));
 
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "lifetime-erased job handle; see ErasedJob")]
 // SAFETY: the pointee is `Sync` (supertrait of `Drain`) and is kept
 // alive for the duration of every helper's use by the join protocol
 // described on [`ErasedJob`].
 unsafe impl Send for ErasedJob {}
 
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "lifetime-erased job handle; see ErasedJob")]
 fn erase<'a>(job: &'a (dyn Drain + 'a)) -> ErasedJob {
     let ptr: *const (dyn Drain + 'a) = job;
     // SAFETY: only the lifetime brand changes; layout and vtable are
@@ -183,7 +183,7 @@ fn helper_loop(me: Arc<Helper>) {
                 slot = me.cv.wait(slot).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        #[allow(unsafe_code)]
+        #[expect(unsafe_code, reason = "lifetime-erased job handle; see ErasedJob")]
         // SAFETY: see `ErasedJob` — the submitter cannot unwind its
         // stack before `latch.helper_exit()` below has run.
         let job_ref: &dyn Drain = unsafe { &*job.0 };
@@ -199,6 +199,10 @@ fn helper_loop(me: Arc<Helper>) {
 /// Spawns parked helpers until `target` exist process-wide. Only
 /// top-level submitters call this; nested fan-outs borrow idle tokens
 /// but never mint threads.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the pool is the one place that spawns threads"
+)]
 fn ensure_helpers(target: usize) {
     loop {
         let spawned = stats::WORKERS_SPAWNED.load(Ordering::Relaxed);
@@ -425,7 +429,10 @@ where
     }
     let mut result = Vec::with_capacity(n);
     for chunk in out.chunks {
-        // lint:allow(panic-hygiene) latch.wait returned, so the cursor protocol filled every slot
+        #[expect(
+            clippy::expect_used,
+            reason = "latch.wait returned, so the cursor protocol filled every slot"
+        )]
         result.extend(chunk.expect("every chunk claimed exactly once"));
     }
     result

@@ -230,6 +230,21 @@ pub mod rngs {
     use super::{splitmix64, RngCore, SeedableRng};
 
     /// The workspace's standard deterministic generator: xoshiro256**.
+    ///
+    /// Every generator comes from a seed. The crate has no ambient,
+    /// OS-seeded source (`thread_rng`, `random`, `from_entropy`,
+    /// `OsRng`), so all stochasticity flows from the experiment seed:
+    ///
+    /// ```
+    /// use rand::{rngs::StdRng, Rng, SeedableRng};
+    /// let mut rng = StdRng::seed_from_u64(20050607);
+    /// let roll: u64 = rng.gen();
+    /// assert_eq!(roll, StdRng::seed_from_u64(20050607).gen::<u64>());
+    /// ```
+    ///
+    /// ```compile_fail,E0425
+    /// let mut rng = rand::thread_rng();
+    /// ```
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct StdRng {
         s: [u64; 4],

@@ -86,6 +86,10 @@ impl ClassicChain {
     /// Panics if `median_len` is even or exceeds the filter's cap — the
     /// device profile validates these bounds before construction.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the chain owns its stages and counts them against its budgets"
+    )]
     pub fn new(cfg: &ClassicConfig) -> Self {
         ClassicChain {
             median: MedianFilter::new(cfg.median_len),

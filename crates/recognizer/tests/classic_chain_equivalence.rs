@@ -9,6 +9,11 @@
 //! through both and demands tick-for-tick identical output — in both
 //! gating modes, and across a mid-stream reset.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the A/B reference wires the stages by hand on purpose"
+)]
+
 use distscroll_recognizer::{ClassicChain, ClassicConfig, Recognizer, SLEW_GIVE_UP_TICKS};
 use distscroll_sensors::filter::{Ema, MedianFilter, SlewGate};
 use proptest::prelude::*;

@@ -2,6 +2,11 @@
 //! streams never panic, output codes stay in ADC range, and replay is
 //! deterministic — the state machine is a pure function of its stream.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail the test by panicking"
+)]
+
 use distscroll_recognizer::{Recognizer, Segmented, SegmentedConfig};
 use distscroll_sensors::calibrate::{fit_inverse_curve, InverseCurveFit};
 use distscroll_sensors::gp2d120::ideal_voltage;

@@ -285,6 +285,10 @@ impl Hysteresis {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the filter tests exercise the stages directly"
+)]
 mod tests {
     use super::*;
 

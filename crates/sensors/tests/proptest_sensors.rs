@@ -1,5 +1,10 @@
 //! Property tests of the sensor physics, filters and calibration.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the property tests exercise the filter stages directly"
+)]
+
 use distscroll_sensors::calibrate::{fit_inverse_curve, linear_fit};
 use distscroll_sensors::environment::{AmbientLight, Scene, Surface};
 use distscroll_sensors::filter::{Ema, Hysteresis, MedianFilter, SlewGate};

@@ -3,12 +3,7 @@
 //!
 //! ```text
 //! cargo run -p xtask -- lint                 # scan the workspace; exit 1 on findings
-//! cargo run -p xtask -- lint --json F        # also write machine-readable diagnostics
-//! cargo run -p xtask -- lint --sarif-out F   # also write a SARIF 2.1.0 report
-//! cargo run -p xtask -- lint --rule NAME     # only report the named rule(s)
-//! cargo run -p xtask -- lint --no-cache      # ignore target/lint-cache
-//! cargo run -p xtask -- lint --self-test     # prove the scanner catches its fixtures
-//! cargo run -p xtask -- lint --rules         # list the rule set
+//! cargo run -p xtask -- lint --self-test     # the lint fixtures, and clippy over its fixtures
 //!
 //! cargo run -p xtask -- fuzz                 # fuzz the wire front door; exit 1 on violation
 //! cargo run -p xtask -- fuzz --iters N       # mutated inputs per target (default 10000)
@@ -26,15 +21,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use distscroll_fuzz::{corpus, FuzzConfig, TargetKind};
-use distscroll_lint::{
-    diagnostics_to_json, diagnostics_to_sarif, scan_workspace_with, self_test, Rule, ScanOptions,
-    ALL_RULES,
-};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cargo run -p xtask -- lint [--json FILE] [--sarif-out FILE] [--rule NAME]... \
-         [--no-cache] [--self-test] [--rules] [--root DIR]\n\
+        "usage: cargo run -p xtask -- lint [--self-test]\n\
          \x20      cargo run -p xtask -- fuzz [--iters N] [--seed S] [--target NAME]... \
          [--corpus DIR] [--out DIR] [--grow] [--init-corpus] [--replay] [--root DIR]"
     );
@@ -192,143 +182,57 @@ fn fuzz(args: Vec<String>) -> ExitCode {
 }
 
 fn lint(args: Vec<String>) -> ExitCode {
-    let mut json_out: Option<String> = None;
-    let mut sarif_out: Option<String> = None;
-    let mut rule_filter: Vec<Rule> = Vec::new();
-    let mut use_cache = true;
-    let mut run_self_test = false;
-    let mut list_rules = false;
-    let mut root = default_root();
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => match it.next() {
-                Some(path) => json_out = Some(path),
-                None => return usage(),
-            },
-            "--sarif-out" => match it.next() {
-                Some(path) => sarif_out = Some(path),
-                None => return usage(),
-            },
-            "--rule" => match it.next().as_deref().map(Rule::from_name) {
-                Some(Some(rule)) => {
-                    if !rule_filter.contains(&rule) {
-                        rule_filter.push(rule);
-                    }
-                }
-                Some(None) => {
-                    eprintln!(
-                        "lint: unknown rule — known rules: {}",
-                        ALL_RULES
-                            .iter()
-                            .map(|r| r.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
-                    return ExitCode::from(2);
-                }
-                None => return usage(),
-            },
-            "--root" => match it.next() {
-                Some(dir) => root = PathBuf::from(dir),
-                None => return usage(),
-            },
-            "--no-cache" => use_cache = false,
-            "--self-test" => run_self_test = true,
-            "--rules" => list_rules = true,
-            _ => return usage(),
-        }
+    let root = default_root();
+    match args.as_slice() {
+        [] => {}
+        [flag] if flag == "--self-test" => return lint_self_test(&root),
+        _ => return usage(),
     }
-
-    if list_rules {
-        for rule in ALL_RULES {
-            println!("{:20} {}", rule.name(), rule.describe());
-        }
-        println!("total: {} rules", ALL_RULES.len());
-        return ExitCode::SUCCESS;
-    }
-
-    if run_self_test {
-        let fixtures = root.join("crates").join("lint").join("fixtures");
-        return match self_test(&fixtures) {
-            Ok(summaries) => {
-                for s in &summaries {
-                    println!("self-test: {s}");
-                }
-                println!(
-                    "self-test: PASS — {} fixtures, every rule exercised, SARIF validated",
-                    summaries.len()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(distscroll_lint::LintError::Fixture(msg)) => {
-                eprintln!("self-test: FAIL — {msg}");
-                ExitCode::FAILURE
-            }
-            Err(e) => {
-                eprintln!("self-test: error — {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    let mut report = match scan_workspace_with(&root, ScanOptions { use_cache }) {
+    let (diags, files) = match distscroll_lint::scan_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lint: error — {e}");
             return ExitCode::from(2);
         }
     };
-    if !rule_filter.is_empty() {
-        report.diagnostics.retain(|d| rule_filter.contains(&d.rule));
-    }
-
-    if let Some(path) = &json_out {
-        let doc = diagnostics_to_json(
-            &report.diagnostics,
-            report.files_scanned,
-            &report.cache,
-            &report.index.stats(),
-        );
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("lint: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("lint: wrote {path}");
-    }
-    if let Some(path) = &sarif_out {
-        let doc = diagnostics_to_sarif(&report.diagnostics);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("lint: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("lint: wrote {path}");
-    }
-
-    for d in &report.diagnostics {
+    for d in &diags {
         println!("{d}");
     }
-    let cache_note = if report.cache.enabled {
-        format!(
-            " (cache: {} hit(s), {} miss(es))",
-            report.cache.hits, report.cache.misses
-        )
-    } else {
-        " (cache off)".to_string()
-    };
-    if report.diagnostics.is_empty() {
-        println!(
-            "lint: PASS — {} files scanned, 0 violations{cache_note}",
-            report.files_scanned
-        );
+    if diags.is_empty() {
+        println!("lint: PASS — {files} files scanned, 0 violations");
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "lint: FAIL — {} violation(s) across {} files scanned{cache_note}",
-            report.diagnostics.len(),
-            report.files_scanned
+            "lint: FAIL — {} violation(s) across {files} files scanned",
+            diags.len()
         );
         ExitCode::FAILURE
+    }
+}
+
+/// Both halves of the self-test: the scanner's own fixtures, then clippy
+/// over the fixture package of the rules rustc and clippy enforce.
+fn lint_self_test(root: &Path) -> ExitCode {
+    let fixtures = root.join("crates").join("lint").join("fixtures");
+    let result = distscroll_lint::self_test(&fixtures).and_then(|mut summaries| {
+        summaries.extend(distscroll_lint::clippy::self_test(root)?);
+        Ok(summaries)
+    });
+    match result {
+        Ok(summaries) => {
+            for s in &summaries {
+                println!("self-test: {s}");
+            }
+            println!("self-test: PASS — {} fixtures", summaries.len());
+            ExitCode::SUCCESS
+        }
+        Err(distscroll_lint::LintError::Fixture(msg)) => {
+            eprintln!("self-test: FAIL — {msg}");
+            ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!("self-test: error — {e}");
+            ExitCode::from(2)
+        }
     }
 }

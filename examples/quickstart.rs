@@ -10,6 +10,11 @@
 //! the upper display shows the menu, the lower one shows state
 //! information.
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example stops at the first broken step"
+)]
+
 use distscroll::core::device::DistScrollDevice;
 use distscroll::core::phone_menu::phone_menu;
 use distscroll::core::profile::DeviceProfile;

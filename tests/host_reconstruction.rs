@@ -4,6 +4,11 @@
 //! bytes through the host-side stream decoder, and checks that the
 //! reconstructed session matches what actually happened on the device.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail the test by panicking"
+)]
+
 use distscroll::core::device::DistScrollDevice;
 use distscroll::core::menu::Menu;
 use distscroll::core::phone_menu::phone_menu;
