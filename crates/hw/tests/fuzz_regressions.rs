@@ -5,7 +5,7 @@
 //! profile the fixed code must produce. All of these fail on the
 //! pre-fix decoder/parsers; keep the inputs byte-for-byte as minimized.
 
-use distscroll_hw::arq::{decode_ack, decode_data};
+use distscroll_hw::arq::{decode_ack, decode_data, Seq16};
 use distscroll_hw::link::{crc16_ccitt, encode_frame, FrameDecoder, SYNC1, SYNC2};
 
 /// Frame-target differential violation, minimized: a corrupted header
@@ -104,7 +104,7 @@ fn minimized_header_only_data_frame_is_rejected() {
 #[test]
 fn oversize_ack_payload_is_rejected() {
     assert_eq!(
-        decode_ack(&[b'K', 0, 5, 0b101]).map(|(c, b)| (c.raw(), b)),
+        decode_ack(&[b'K', 0, 5, 0b101]).map(|(c, b)| (c.distance_from(Seq16::ZERO), b)),
         Some((5, 0b101))
     );
     assert_eq!(decode_ack(&[b'K', 0, 5, 0b101, 9]), None);
