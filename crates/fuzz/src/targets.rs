@@ -7,17 +7,19 @@
 //!
 //! * [`run_frame`] — differential: the streaming [`FrameDecoder`] against
 //!   an offline reference decoder, plus exact counter equality and the
-//!   byte-conservation law.
+//!   byte-conservation law, with the input pushed whole, byte at a time
+//!   and at split points derived from it (split invariance).
 //! * [`run_stream`] — [`StreamDecoder`] in all three modes (plain, ARQ,
 //!   ARQ-resync) over raw bytes: never panics, never delivers from a
-//!   bad-CRC frame, counters stay consistent.
+//!   bad-CRC frame, counters stay consistent, and split pushes yield the
+//!   records and counters of one push.
 //! * [`run_arq`] — a full `ArqTx`↔`ArqRx` session where the input bytes
 //!   are the *decision tape* driving an [`AdversarialChannel`]; delivery
 //!   must be an exact duplicate-free prefix (honest channel) and the
 //!   `LinkQuality` ledger must balance (always).
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use distscroll_host::telemetry::StreamDecoder;
 use distscroll_hw::arq::{decode_ack, decode_data, ArqClass, ArqRx, ArqTx, Seq16};
@@ -104,88 +106,129 @@ fn reference_decode(input: &[u8]) -> RefModel {
     m
 }
 
-/// Differential + conservation oracle over [`FrameDecoder`].
+/// The three ways every input is pushed: whole, byte at a time, and in
+/// chunks whose sizes are drawn from a generator seeded by the input.
+/// The derived chunks mix short splits with ones longer than a frame.
+fn pushes(input: &[u8]) -> [(&'static str, Vec<&[u8]>); 3] {
+    let mut rng = StdRng::seed_from_u64(fnv1a(input));
+    let mut split = Vec::new();
+    let mut rest = input;
+    while !rest.is_empty() {
+        let want: usize = if rng.gen_bool(0.5) {
+            rng.gen_range(1..=8)
+        } else {
+            rng.gen_range(1..=300)
+        };
+        let (chunk, tail) = rest.split_at(want.min(rest.len()));
+        split.push(chunk);
+        rest = tail;
+    }
+    [
+        ("one push", vec![input]),
+        ("byte at a time", input.chunks(1).collect()),
+        ("derived splits", split),
+    ]
+}
+
+/// Differential + conservation oracle over [`FrameDecoder`], for each
+/// of the three ways of splitting the input into pushes.
 pub fn run_frame(input: &[u8]) -> Outcome {
     let model = reference_decode(input);
-    let mut dec = FrameDecoder::new();
-    let mut payloads: Vec<Vec<u8>> = Vec::new();
-    for &b in input {
-        if let Some(Ok(p)) = dec.push_frame(b) {
-            payloads.push(p.to_vec());
+    let mut sig = None;
+    for (way, chunks) in pushes(input) {
+        let mut dec = FrameDecoder::new();
+        let mut payloads: Vec<Vec<u8>> = Vec::new();
+        for chunk in chunks {
+            dec.push_with(chunk, |r| {
+                if let Ok(p) = r {
+                    payloads.push(p.to_vec());
+                }
+            });
+        }
+        let sig = *sig.get_or_insert_with(|| {
+            let mut sig = fnv1a_fold(fnv1a(b"frame"), dec.frames_ok());
+            sig = fnv1a_fold(sig, dec.frames_bad());
+            sig = fnv1a_fold(sig, dec.bytes_skipped());
+            sig = fnv1a_fold(sig, dec.pending_bytes());
+            fnv1a_fold(sig, payloads.iter().map(|p| p.len() as u64).sum())
+        });
+        if let Some(v) = frame_violation(&dec, &payloads, &model, input.len()) {
+            return Outcome {
+                sig,
+                violation: Some(format!("frame ({way}): {v}")),
+            };
         }
     }
-    loop {
-        match dec.pump() {
-            Some(Ok(p)) => payloads.push(p.to_vec()),
-            Some(Err(_)) => {}
-            None => break,
-        }
-    }
+    Outcome::clean(sig.unwrap_or_default())
+}
 
-    let mut sig = fnv1a_fold(fnv1a(b"frame"), dec.frames_ok());
-    sig = fnv1a_fold(sig, dec.frames_bad());
-    sig = fnv1a_fold(sig, dec.bytes_skipped());
-    sig = fnv1a_fold(sig, dec.pending_bytes());
-    sig = fnv1a_fold(sig, payloads.iter().map(|p| p.len() as u64).sum());
-
+/// The first way `dec` and its delivered `payloads` disagree with the
+/// reference model of a `pushed`-byte input.
+fn frame_violation(
+    dec: &FrameDecoder,
+    payloads: &[Vec<u8>],
+    model: &RefModel,
+    pushed: usize,
+) -> Option<String> {
     let conservation = dec.bytes_skipped() + dec.bytes_accepted() + dec.pending_bytes();
-    let violation = if payloads != model.payloads {
+    if payloads != model.payloads {
         Some(format!(
-            "frame: payload streams diverge (streaming {} frames, reference {})",
+            "payload streams diverge (streaming {} frames, reference {})",
             payloads.len(),
             model.payloads.len()
         ))
     } else if dec.frames_ok() != model.payloads.len() as u64 {
         Some(format!(
-            "frame: frames_ok {} != delivered payloads {}",
+            "frames_ok {} != delivered payloads {}",
             dec.frames_ok(),
             model.payloads.len()
         ))
     } else if dec.frames_bad() != model.bad {
         Some(format!(
-            "frame: frames_bad {} != reference {}",
+            "frames_bad {} != reference {}",
             dec.frames_bad(),
             model.bad
         ))
     } else if dec.bytes_skipped() != model.skipped {
         Some(format!(
-            "frame: bytes_skipped {} != reference {}",
+            "bytes_skipped {} != reference {}",
             dec.bytes_skipped(),
             model.skipped
         ))
     } else if dec.pending_bytes() != model.pending {
         Some(format!(
-            "frame: pending_bytes {} != reference {}",
+            "pending_bytes {} != reference {}",
             dec.pending_bytes(),
             model.pending
         ))
-    } else if conservation != input.len() as u64 {
+    } else if conservation != pushed as u64 {
         Some(format!(
-            "frame: byte conservation broken — skipped+accepted+pending {} != pushed {}",
-            conservation,
-            input.len()
+            "byte conservation broken — skipped+accepted+pending {conservation} != pushed {pushed}"
         ))
     } else {
         None
-    };
-    Outcome { sig, violation }
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Stream target
 // ---------------------------------------------------------------------------
 
-/// [`StreamDecoder`] sanity over raw bytes, in all three modes.
+/// [`StreamDecoder`] sanity over raw bytes, in all three modes, plus
+/// split invariance: pushing the input in pieces must yield the records
+/// and counters of one push.
 pub fn run_stream(input: &[u8]) -> Outcome {
     let mut sig = fnv1a(b"stream");
+    let decoder = |mode: u8| match mode {
+        0 => StreamDecoder::new(),
+        1 => StreamDecoder::with_arq(),
+        _ => StreamDecoder::with_arq_resync(),
+    };
     for mode in 0..3u8 {
-        let mut dec = match mode {
-            0 => StreamDecoder::new(),
-            1 => StreamDecoder::with_arq(),
-            _ => StreamDecoder::with_arq_resync(),
-        };
-        let mut sunk = 0u64;
-        dec.push_bytes_with(input, |_| sunk += 1);
+        let mut dec = decoder(mode);
+        let mut records = Vec::new();
+        dec.push_bytes_with(input, |rec| records.push(rec));
+        let sunk = records.len() as u64;
 
         let (skipped, accepted, pending) = dec.link_byte_accounting();
         if skipped + accepted + pending != input.len() as u64 {
@@ -230,12 +273,43 @@ pub fn run_stream(input: &[u8]) -> Outcome {
                 )),
             };
         }
+        for (way, chunks) in pushes(input).into_iter().skip(1) {
+            let mut split = decoder(mode);
+            let mut split_records = Vec::new();
+            for chunk in chunks {
+                split.push_bytes_with(chunk, |rec| split_records.push(rec));
+            }
+            if split_records != records || stream_counters(&split) != stream_counters(&dec) {
+                return Outcome {
+                    sig,
+                    violation: Some(format!(
+                        "stream(mode {mode}, {way}): split pushes diverge from one push \
+                         ({} records vs {})",
+                        split_records.len(),
+                        records.len()
+                    )),
+                };
+            }
+        }
         sig = fnv1a_fold(sig, dec.records_ok());
         sig = fnv1a_fold(sig, dec.records_bad());
         sig = fnv1a_fold(sig, dec.crc_failures());
         sig = fnv1a_fold(sig, dec.link_frames_ok());
     }
     Outcome::clean(sig)
+}
+
+/// Every counter a [`StreamDecoder`] exposes, for split-invariance.
+fn stream_counters(dec: &StreamDecoder) -> impl PartialEq {
+    (
+        dec.records_ok(),
+        dec.records_bad(),
+        dec.crc_failures(),
+        dec.link_frames_ok(),
+        dec.link_byte_accounting(),
+        dec.arq_quality(),
+        dec.arq_resynced(),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -453,22 +527,9 @@ fn ingest_arrival(
     delta_violation: &mut Option<String>,
     step: usize,
 ) {
-    let mut payloads: Vec<Vec<u8>> = Vec::new();
-    for &b in bytes {
-        if let Some(Ok(p)) = fd.push_frame(b) {
-            payloads.push(p.to_vec());
-        }
-    }
-    loop {
-        match fd.pump() {
-            Some(Ok(p)) => payloads.push(p.to_vec()),
-            Some(Err(_)) => {}
-            None => break,
-        }
-    }
-    for payload in payloads {
-        let Some((seq, inner)) = decode_data(&payload) else {
-            continue;
+    fd.push_with(bytes, |r| {
+        let Some((seq, inner)) = r.ok().and_then(decode_data) else {
+            return;
         };
         let before = rx.quality();
         rx.on_data(seq, inner, |rec| delivered.push(rec.to_vec()));
@@ -478,13 +539,13 @@ fn ingest_arrival(
         let oo = after.out_of_order - before.out_of_order;
         let sane = (dd > 0 && du == 0 && oo == 0) || (dd == 0 && du <= 1 && oo <= 1);
         if sane || delta_violation.is_some() {
-            continue;
+            return;
         }
         *delta_violation = Some(format!(
             "arq: on_data counter delta insane at step {step} \
              (delivered +{dd}, duplicates +{du}, out_of_order +{oo})"
         ));
-    }
+    });
 }
 
 /// Returns the receiver's current ack through its own lossy channel.
@@ -498,24 +559,11 @@ fn return_ack(
     let frame = encode_frame(&rx.ack_payload());
     let mut acks: Vec<(Seq16, u8)> = Vec::new();
     ack_chan.transmit(&frame, rng, |bytes| {
-        let mut payloads: Vec<Vec<u8>> = Vec::new();
-        for &b in bytes {
-            if let Some(Ok(p)) = fd_back.push_frame(b) {
-                payloads.push(p.to_vec());
+        fd_back.push_with(bytes, |r| {
+            if let Some(ack) = r.ok().and_then(decode_ack) {
+                acks.push(ack);
             }
-        }
-        loop {
-            match fd_back.pump() {
-                Some(Ok(p)) => payloads.push(p.to_vec()),
-                Some(Err(_)) => {}
-                None => break,
-            }
-        }
-        for p in payloads {
-            if let Some((cum, bitmap)) = decode_ack(&p) {
-                acks.push((cum, bitmap));
-            }
-        }
+        });
     });
     for (cum, bitmap) in acks {
         tx.on_ack(cum, bitmap);

@@ -303,26 +303,10 @@ impl StreamDecoder {
 
     /// Pushes received bytes, visiting each completed record in order —
     /// the zero-allocation decode ([`Record`] is `Copy`; frame payloads
-    /// are borrowed from the decoder's scratch buffer). Malformed or
-    /// CRC-failed frames are counted and skipped.
+    /// are borrowed from the pushed bytes or the frame decoder's carry).
+    /// Malformed or CRC-failed frames are counted and skipped.
     pub fn push_bytes_with<F: FnMut(Record)>(&mut self, bytes: &[u8], mut sink: F) {
-        for &b in bytes {
-            if let Some(frame) = self.frames.push_frame(b) {
-                consume_frame(
-                    &mut self.arq,
-                    &mut self.records_ok,
-                    &mut self.records_bad,
-                    &mut self.crc_failures,
-                    frame,
-                    &mut sink,
-                );
-            }
-        }
-        // A frame attempt that failed its CRC queues its bytes for
-        // re-examination inside the frame decoder; drain any frames that
-        // completed wholly within those bytes so the burst's records are
-        // all delivered before this call returns.
-        while let Some(frame) = self.frames.pump() {
+        self.frames.push_with(bytes, |frame| {
             consume_frame(
                 &mut self.arq,
                 &mut self.records_ok,
@@ -331,7 +315,7 @@ impl StreamDecoder {
                 frame,
                 &mut sink,
             );
-        }
+        });
     }
 
     /// Pushes received bytes; returns the records completed by them.
@@ -395,7 +379,7 @@ impl StreamDecoder {
 /// Routes one completed link frame into the ARQ/record layers.
 ///
 /// Free function over disjoint [`StreamDecoder`] fields because the
-/// frame payload borrows the frame decoder's scratch buffer.
+/// frame decoder stays mutably borrowed while it lends the payload.
 fn consume_frame<F: FnMut(Record)>(
     arq: &mut Option<ArqRx>,
     records_ok: &mut u64,

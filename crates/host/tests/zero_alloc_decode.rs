@@ -1,8 +1,10 @@
 //! Proof that the host decode path holds the same zero-allocation bar
-//! as the firmware loop: once the frame scratch buffer, the ARQ reorder
+//! as the firmware loop: once the frame decoder's carry, the ARQ reorder
 //! parking lot and its recycled buffers have warmed up, pushing radio
 //! bytes through [`StreamDecoder::push_bytes_with`] performs **zero**
 //! heap allocations — `Record` is `Copy` and every payload is borrowed.
+//! That holds on a clean stream, on a corrupted one (CRC failures and
+//! resync inside failed attempts) and with frames split across pushes.
 //!
 //! The same counting-allocator wrapper as `distscroll-core`'s
 //! `zero_alloc` test, tallying per thread so the multi-threaded test
@@ -18,7 +20,7 @@ use std::cell::Cell;
 
 use distscroll_host::telemetry::{Record, StreamDecoder};
 use distscroll_hw::arq::{ArqClass, ArqTx};
-use distscroll_hw::link::encode_frame;
+use distscroll_hw::link::{encode_frame, SYNC1, SYNC2};
 
 thread_local! {
     /// Allocation calls (alloc + realloc) made by the current thread.
@@ -67,10 +69,10 @@ fn allocations_on_this_thread() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// `count` sequenced data frames as one contiguous radio byte stream,
-/// with every pair swapped so the receiver's reorder path (parking and
-/// releasing) stays exercised, not just the fast in-order path.
-fn data_stream(tx: &mut ArqTx, count: u16) -> Vec<u8> {
+/// `count` sequenced data frames, with every pair swapped so the
+/// receiver's reorder path (parking and releasing) stays exercised, not
+/// just the fast in-order path.
+fn data_frames(tx: &mut ArqTx, count: u16) -> Vec<Vec<u8>> {
     let mut wires: Vec<Vec<u8>> = Vec::new();
     for i in 0..count {
         let stamp = i.to_be_bytes();
@@ -93,7 +95,48 @@ fn data_stream(tx: &mut ArqTx, count: u16) -> Vec<u8> {
             std::mem::swap(a, b);
         }
     }
-    wires.concat()
+    wires
+}
+
+/// [`data_frames`] as one contiguous radio byte stream.
+fn data_stream(tx: &mut ArqTx, count: u16) -> Vec<u8> {
+    data_frames(tx, count).concat()
+}
+
+/// [`data_frames`] with damage the decoder must resync through: every
+/// third frame is preceded by a bit-flipped copy of itself, and every
+/// third by a bogus header whose length swallows the frames after it.
+/// Every real frame still arrives intact and is decided by the end.
+fn corrupted_stream(tx: &mut ArqTx, count: u16) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (i, frame) in data_frames(tx, count).into_iter().enumerate() {
+        match i % 3 {
+            0 => {
+                let mut bad = frame.clone();
+                bad[4] ^= 0x10;
+                out.extend_from_slice(&bad);
+            }
+            // The swallowed frames must arrive for the attempt to fail.
+            1 if i + 3 < usize::from(count) => out.extend_from_slice(&[SYNC1, SYNC2, 40]),
+            _ => {}
+        }
+        out.extend_from_slice(&frame);
+    }
+    out
+}
+
+/// Pushes `bytes` in chunks cycling through short sizes, so most frames
+/// are split across two or more pushes.
+fn push_split(dec: &mut StreamDecoder, bytes: &[u8], records: &mut u64) {
+    let mut rest = bytes;
+    for size in [1usize, 2, 3, 5, 8, 13, 21, 34].into_iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (chunk, tail) = rest.split_at(size.min(rest.len()));
+        dec.push_bytes_with(chunk, |_: Record| *records += 1);
+        rest = tail;
+    }
 }
 
 #[test]
@@ -122,4 +165,53 @@ fn steady_state_arq_decode_allocates_nothing() {
     let q = dec.arq_quality().expect("arq decoder");
     assert_eq!(q.delivered, 400);
     assert!(q.out_of_order > 0, "the reorder path must be exercised");
+}
+
+#[test]
+fn corrupted_stream_decode_allocates_nothing() {
+    let mut tx = ArqTx::new();
+    let mut dec = StreamDecoder::with_arq();
+    let mut records = 0u64;
+
+    let warm = corrupted_stream(&mut tx, 200);
+    dec.push_bytes_with(&warm, |_: Record| records += 1);
+    assert_eq!(records, 200, "every intact frame survives the damage");
+    let crc_after_warm = dec.crc_failures();
+    assert!(crc_after_warm > 0, "the damage must fail CRCs");
+
+    let hot = corrupted_stream(&mut tx, 200);
+    let before = allocations_on_this_thread();
+    dec.push_bytes_with(&hot, |_: Record| records += 1);
+    let allocated = allocations_on_this_thread() - before;
+    assert_eq!(records, 400, "measured records must all decode");
+    assert!(
+        dec.crc_failures() > crc_after_warm,
+        "hot stream must resync"
+    );
+    assert_eq!(
+        allocated, 0,
+        "resync through CRC failures must not allocate"
+    );
+}
+
+#[test]
+fn frames_split_across_pushes_allocate_nothing() {
+    let mut tx = ArqTx::new();
+    let mut dec = StreamDecoder::with_arq();
+    let mut records = 0u64;
+
+    // Warm-up with the same split pattern grows the carry to the most it
+    // ever holds.
+    let warm = data_stream(&mut tx, 200);
+    push_split(&mut dec, &warm, &mut records);
+    assert_eq!(records, 200, "warm-up records must all decode");
+
+    let hot = data_stream(&mut tx, 200);
+    let before = allocations_on_this_thread();
+    push_split(&mut dec, &hot, &mut records);
+    let allocated = allocations_on_this_thread() - before;
+    assert_eq!(records, 400, "measured records must all decode");
+    let (_, _, pending) = dec.link_byte_accounting();
+    assert_eq!(pending, 0, "the stream ends on a frame boundary");
+    assert_eq!(allocated, 0, "frames split across pushes must not allocate");
 }

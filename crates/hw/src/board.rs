@@ -512,21 +512,11 @@ impl Board {
         let now = self.clock.now();
         collect_due(&mut self.host_air, &mut self.host_arrived, now);
         for t in &self.host_arrived {
-            for &b in &t.bytes {
-                if let Some(Ok(payload)) = self.host_decoder.push_frame(b) {
+            self.host_decoder.push_with(&t.bytes, |res| {
+                if let Ok(payload) = res {
                     sink(payload);
                 }
-            }
-        }
-        // Surface frames recovered from the bytes of CRC-failed attempts
-        // before the poll returns, so a burst's last ack is not delayed
-        // to the next poll.
-        loop {
-            match self.host_decoder.pump() {
-                Some(Ok(payload)) => sink(payload),
-                Some(Err(_)) => {}
-                None => break,
-            }
+            });
         }
         for mut t in self.host_arrived.drain(..) {
             t.bytes.clear();

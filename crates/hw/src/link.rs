@@ -10,8 +10,8 @@
 //!
 //! * [`crc16_ccitt`] — the checksum,
 //! * [`encode_frame`] / [`FrameDecoder`] — framing: two sync bytes, a
-//!   length byte, the payload and a 16-bit CRC; the decoder is a
-//!   resynchronizing state machine so a corrupted frame only costs itself,
+//!   length byte, the payload and a 16-bit CRC; the decoder scans whole
+//!   slices and resynchronizes so a corrupted frame only costs itself,
 //! * [`RadioChannel`] — the air: packet drops, bit errors, latency and
 //!   jitter, all seeded and deterministic.
 
@@ -44,8 +44,8 @@ pub fn crc16_ccitt(bytes: &[u8]) -> u16 {
 /// Folds one byte into a running CRC-16-CCITT value.
 ///
 /// Streaming form of [`crc16_ccitt`]: start from [`CRC16_INIT`] and feed
-/// bytes as they arrive. The frame decoder uses this to cover the length
-/// byte, which it consumes before it knows how long the payload is.
+/// bytes as they arrive. The frame encoder uses this to fold the length
+/// byte in ahead of the payload, which sit in different buffers.
 pub fn crc16_ccitt_step(mut crc: u16, byte: u8) -> u16 {
     crc ^= u16::from(byte) << 8;
     for _ in 0..8 {
@@ -102,39 +102,32 @@ pub fn encode_frame_into(payload: &[u8], out: &mut Vec<u8>) {
     out.push((crc & 0xff) as u8);
 }
 
-/// Host-side frame decoder: feed it bytes, get frames (or CRC errors) out.
+/// Longest frame on the wire: sync pair, length byte, payload and CRC.
+const MAX_FRAME: usize = MAX_PAYLOAD + 5;
+
+/// Host-side frame decoder: feed it byte slices, get frames (or CRC
+/// errors) out.
 ///
-/// A failed CRC does not discard the bytes of the failed attempt: a
-/// corrupted length byte can swallow a legitimate frame that started
-/// *inside* the attempt, so the decoder queues those bytes and re-examines
-/// them for an embedded `SYNC1 SYNC2` (see [`FrameDecoder::pump`]).
+/// A frame that lies wholly inside one pushed slice is checked with one
+/// CRC pass and its payload is lent straight from that slice. A failed
+/// CRC consumes only the attempt's sync pair: a corrupted length byte can
+/// swallow a legitimate frame that started *inside* the attempt, so the
+/// scan resumes two bytes in. Only an attempt split across two pushes is
+/// copied, into a carry of at most `MAX_FRAME - 1` bytes.
 #[derive(Debug, Clone, Default)]
 pub struct FrameDecoder {
-    state: DecoderState,
-    payload: Vec<u8>,
-    expect_len: usize,
-    running_crc: u16,
-    crc_hi: u8,
-    /// Bytes of a failed frame attempt, queued for re-examination: a
-    /// corrupted length byte may have swallowed a legitimate embedded
-    /// frame start, so discarding them would turn one bit error into a
-    /// lost-frame cascade under burst noise.
-    replay: VecDeque<u8>,
+    /// The undecided tail of the stream so far: a lone `SYNC1`, or a
+    /// sync pair and the part of its frame that has arrived.
+    carry: Vec<u8>,
+    counts: FrameCounts,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct FrameCounts {
     frames_ok: u64,
     frames_bad: u64,
     bytes_skipped: u64,
     bytes_accepted: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum DecoderState {
-    #[default]
-    Sync1,
-    Sync2,
-    Len,
-    Payload,
-    CrcHi,
-    CrcLo,
 }
 
 impl FrameDecoder {
@@ -145,197 +138,127 @@ impl FrameDecoder {
 
     /// Frames decoded with a valid CRC since creation.
     pub fn frames_ok(&self) -> u64 {
-        self.frames_ok
+        self.counts.frames_ok
     }
 
     /// Frames rejected (bad CRC) since creation.
     pub fn frames_bad(&self) -> u64 {
-        self.frames_bad
+        self.counts.frames_bad
     }
 
     /// Bytes skipped while hunting for sync (including the sync pair of
     /// every frame attempt that failed its CRC).
     pub fn bytes_skipped(&self) -> u64 {
-        self.bytes_skipped
+        self.counts.bytes_skipped
     }
 
     /// Bytes consumed by CRC-valid frames (sync pair, length byte,
     /// payload and both CRC bytes — `5 + len` per frame).
     pub fn bytes_accepted(&self) -> u64 {
-        self.bytes_accepted
+        self.counts.bytes_accepted
     }
 
-    /// Bytes currently held inside the decoder: the re-examination queue
-    /// plus the in-progress frame attempt.
+    /// Bytes held inside the decoder: the frame attempt still waiting
+    /// for its tail.
     ///
     /// Every pushed byte is accounted for exactly once:
     /// `pushed == bytes_skipped() + bytes_accepted() + pending_bytes()`.
     /// The fuzz harness asserts this conservation law against a reference
     /// decoder after every input.
     pub fn pending_bytes(&self) -> u64 {
-        let in_flight = match self.state {
-            DecoderState::Sync1 => 0,
-            DecoderState::Sync2 => 1,
-            DecoderState::Len => 2,
-            DecoderState::Payload => 3 + self.payload.len(),
-            DecoderState::CrcHi => 3 + self.expect_len,
-            DecoderState::CrcLo => 4 + self.expect_len,
-        };
-        self.replay.len() as u64 + in_flight as u64
+        self.carry.len() as u64
     }
 
-    /// Pushes one received byte.
+    /// Pushes received bytes, visiting every frame they complete in
+    /// stream order: `Ok(payload)` for a valid CRC, `Err(_)` for a
+    /// failed one.
     ///
-    /// Owned-`Vec` convenience over [`FrameDecoder::push_frame`]: the
-    /// returned payload is copied out of the decoder's scratch buffer.
-    /// Steady-state poll loops should prefer `push_frame`, which does
-    /// not allocate.
-    pub fn push(&mut self, byte: u8) -> Option<Result<Vec<u8>, HwError>> {
-        self.push_frame(byte).map(|r| r.map(<[u8]>::to_vec))
-    }
-
-    /// Pushes one received byte, lending completed payloads.
-    ///
-    /// Returns `Some(Ok(payload))` when a frame completes with a valid
-    /// CRC, `Some(Err(_))` when a frame completes but fails its CRC, and
-    /// `None` while mid-frame. After any completion the decoder hunts for
-    /// the next sync sequence.
-    ///
-    /// The payload borrows the decoder's internal scratch buffer — valid
-    /// until the next push — so decoding a warm stream performs no heap
-    /// allocation, mirroring the `drain_*_into` discipline elsewhere.
-    ///
-    /// A frame attempt that fails its CRC does not discard its bytes:
-    /// they are queued for re-examination (an embedded `SYNC1 SYNC2` may
-    /// start a legitimate frame) and drain on subsequent pushes. Callers
-    /// at the end of a burst should call [`FrameDecoder::pump`] until it
-    /// returns `None` to surface frames wholly contained in queued bytes.
-    pub fn push_frame(&mut self, byte: u8) -> Option<Result<&[u8], HwError>> {
-        if self.replay.is_empty() {
-            // Fast path: one branch on a clean stream.
-            return match self.step(byte) {
-                Some(Ok(())) => Some(Ok(self.payload.as_slice())),
-                Some(Err(e)) => Some(Err(e)),
-                None => None,
-            };
+    /// Payloads are lent from `bytes` (or, for a frame split across
+    /// pushes, from the carry), so decoding a warm stream performs no
+    /// heap allocation. How the stream is split into pushes changes
+    /// nothing: the frames and counters are those of one push of the
+    /// whole stream.
+    pub fn push_with<F: FnMut(Result<&[u8], HwError>)>(&mut self, mut bytes: &[u8], mut sink: F) {
+        if !self.carry.is_empty() {
+            // Every attempt that starts inside the carry is decided by at
+            // most `MAX_FRAME - 1` more bytes, so top it up by that much
+            // and resume the input where the carry's decisions end.
+            let held = self.carry.len();
+            self.carry
+                .extend_from_slice(&bytes[..bytes.len().min(MAX_FRAME - 1)]);
+            let stop = scan(&self.carry, &mut self.counts, &mut sink);
+            if stop < held {
+                // Still undecided, so the input was short and all of it
+                // is in the carry already.
+                self.carry.drain(..stop);
+                return;
+            }
+            self.carry.clear();
+            bytes = &bytes[stop - held..];
         }
-        // Bytes queued by an earlier CRC failure come first in stream
-        // order; the new byte joins the back of the line.
-        self.replay.push_back(byte);
-        self.pump()
-    }
-
-    /// Re-processes bytes queued by a failed frame attempt, returning the
-    /// first completed frame (or CRC error) found, or `None` once the
-    /// queue is drained.
-    ///
-    /// After a burst ends, call this in a loop to recover frames that lie
-    /// wholly inside the bytes of a failed attempt — without it they
-    /// would only surface once more input arrives.
-    pub fn pump(&mut self) -> Option<Result<&[u8], HwError>> {
-        while let Some(b) = self.replay.pop_front() {
-            match self.step(b) {
-                Some(Ok(())) => return Some(Ok(self.payload.as_slice())),
-                Some(Err(e)) => return Some(Err(e)),
-                None => {}
-            }
-        }
-        None
-    }
-
-    /// Advances the state machine by one byte. `Some(Ok(()))` means a
-    /// valid frame completed and its payload is in the scratch buffer.
-    fn step(&mut self, byte: u8) -> Option<Result<(), HwError>> {
-        match self.state {
-            DecoderState::Sync1 => {
-                if byte == SYNC1 {
-                    self.state = DecoderState::Sync2;
-                } else {
-                    self.bytes_skipped += 1;
-                }
-                None
-            }
-            DecoderState::Sync2 => {
-                if byte == SYNC2 {
-                    self.state = DecoderState::Len;
-                } else if byte == SYNC1 {
-                    // Could be the start of a real sync: 0xAA 0xAA 0x55.
-                    // The held 0xAA is discarded; this one takes its place.
-                    self.bytes_skipped += 1;
-                } else {
-                    // Both the held SYNC1 and this byte are discarded.
-                    self.bytes_skipped += 2;
-                    self.state = DecoderState::Sync1;
-                }
-                None
-            }
-            DecoderState::Len => {
-                self.expect_len = usize::from(byte);
-                self.payload.clear();
-                // The length byte is the first byte under the CRC.
-                self.running_crc = crc16_ccitt_step(CRC16_INIT, byte);
-                self.state = if self.expect_len == 0 {
-                    DecoderState::CrcHi
-                } else {
-                    DecoderState::Payload
-                };
-                None
-            }
-            DecoderState::Payload => {
-                self.payload.push(byte);
-                self.running_crc = crc16_ccitt_step(self.running_crc, byte);
-                if self.payload.len() == self.expect_len {
-                    self.state = DecoderState::CrcHi;
-                }
-                None
-            }
-            DecoderState::CrcHi => {
-                self.crc_hi = byte;
-                self.state = DecoderState::CrcLo;
-                None
-            }
-            DecoderState::CrcLo => {
-                self.state = DecoderState::Sync1;
-                let expected = u16::from(self.crc_hi) << 8 | u16::from(byte);
-                let actual = self.running_crc;
-                if expected == actual {
-                    self.frames_ok += 1;
-                    self.bytes_accepted += 5 + self.payload.len() as u64;
-                    Some(Ok(()))
-                } else {
-                    self.frames_bad += 1;
-                    // Only the sync pair that opened this attempt is
-                    // consumed for good; the rest of the attempt — length
-                    // byte, payload bytes, both CRC bytes — may contain an
-                    // embedded frame start, so it is queued ahead of any
-                    // bytes already waiting, in stream order.
-                    self.bytes_skipped += 2;
-                    self.replay.push_front(byte);
-                    self.replay.push_front(self.crc_hi);
-                    for &b in self.payload.iter().rev() {
-                        self.replay.push_front(b);
-                    }
-                    // At completion the payload has exactly `expect_len`
-                    // bytes, so this reconstructs the wire length byte.
-                    self.replay.push_front(self.payload.len() as u8);
-                    self.payload.clear();
-                    Some(Err(HwError::LinkCrc { expected, actual }))
-                }
-            }
-        }
+        let stop = scan(bytes, &mut self.counts, &mut sink);
+        self.carry.extend_from_slice(&bytes[stop..]);
     }
 
     /// Pushes a whole received burst, collecting completed frames and
-    /// errors in order — including frames recovered from the bytes of
-    /// failed attempts ([`FrameDecoder::pump`]).
+    /// errors in order. Owned-`Vec` convenience over
+    /// [`FrameDecoder::push_with`].
     pub fn push_all(&mut self, bytes: &[u8]) -> Vec<Result<Vec<u8>, HwError>> {
-        let mut out: Vec<Result<Vec<u8>, HwError>> =
-            bytes.iter().filter_map(|&b| self.push(b)).collect();
-        while let Some(res) = self.pump() {
-            out.push(res.map(<[u8]>::to_vec));
-        }
+        let mut out = Vec::new();
+        self.push_with(bytes, |r| out.push(r.map(<[u8]>::to_vec)));
         out
     }
+}
+
+/// Decodes every frame attempt that `buf` decides, in stream order, and
+/// returns the index of the first undecided byte: a trailing lone
+/// `SYNC1`, or the start of a frame whose tail is not in `buf`.
+fn scan<F: FnMut(Result<&[u8], HwError>)>(
+    buf: &[u8],
+    counts: &mut FrameCounts,
+    sink: &mut F,
+) -> usize {
+    let mut i = 0;
+    while let Some(off) = buf[i..].iter().position(|&b| b == SYNC1) {
+        counts.bytes_skipped += off as u64;
+        i += off;
+        match buf.get(i + 1) {
+            None => return i,
+            Some(&SYNC2) => {}
+            Some(_) => {
+                // Not a sync pair: the SYNC1 is spent, and the next byte
+                // may start a pair itself.
+                counts.bytes_skipped += 1;
+                i += 1;
+                continue;
+            }
+        }
+        let Some(&len) = buf.get(i + 2) else {
+            return i;
+        };
+        let Some(frame) = buf.get(i..i + 5 + usize::from(len)) else {
+            return i;
+        };
+        // The CRC covers the length byte and the payload.
+        let (body, wire) = frame[2..].split_at(1 + usize::from(len));
+        let expected = u16::from(wire[0]) << 8 | u16::from(wire[1]);
+        let actual = crc16_ccitt(body);
+        if expected == actual {
+            counts.frames_ok += 1;
+            counts.bytes_accepted += frame.len() as u64;
+            i += frame.len();
+            sink(Ok(&body[1..]));
+        } else {
+            // Only the sync pair is consumed for good: the rest of the
+            // attempt may hold an embedded frame start.
+            counts.frames_bad += 1;
+            counts.bytes_skipped += 2;
+            i += 2;
+            sink(Err(HwError::LinkCrc { expected, actual }));
+        }
+    }
+    counts.bytes_skipped += (buf.len() - i) as u64;
+    buf.len()
 }
 
 /// Statistical model of the air between device and host.
@@ -748,21 +671,27 @@ mod tests {
     }
 
     #[test]
-    fn push_frame_lends_payloads_without_moving_them() {
+    fn push_with_lends_payloads_from_the_input() {
         let mut dec = FrameDecoder::new();
         let frame = encode_frame(b"borrowed");
         let mut seen = 0;
-        for (i, &b) in frame.iter().enumerate() {
-            if let Some(res) = dec.push_frame(b) {
-                assert_eq!(i, frame.len() - 1);
-                assert_eq!(res.unwrap(), b"borrowed");
-                seen += 1;
-            }
-        }
+        dec.push_with(&frame, |res| {
+            let p = res.unwrap();
+            assert_eq!(p, b"borrowed");
+            assert!(
+                frame.as_ptr_range().contains(&p.as_ptr()),
+                "payload was copied"
+            );
+            seen += 1;
+        });
         assert_eq!(seen, 1);
-        // The scratch buffer is reused for the next frame.
-        let got = dec.push_all(&encode_frame(b"next"));
-        assert_eq!(got, vec![Ok(b"next".to_vec())]);
+        // A frame split across pushes completes on the push that ends it.
+        let split = encode_frame(b"next");
+        let (head, tail) = split.split_at(4);
+        assert_eq!(dec.push_all(head), vec![]);
+        assert_eq!(dec.pending_bytes(), 4);
+        assert_eq!(dec.push_all(tail), vec![Ok(b"next".to_vec())]);
+        assert_eq!(dec.pending_bytes(), 0);
         assert_eq!(dec.frames_ok(), 2);
     }
 
@@ -981,25 +910,27 @@ mod tests {
     }
 
     #[test]
-    fn pump_drains_recovered_frames_without_new_input() {
+    fn recovered_frames_surface_without_new_input() {
         let inner = encode_frame(b"late");
         let mut stream = vec![SYNC1, SYNC2, 13]; // swallows inner + filler
         stream.extend_from_slice(&inner);
         stream.extend_from_slice(&[0u8; 4]);
         stream.extend_from_slice(&[0x00, 0x00]);
+        // The push that completes the failed attempt also yields the frame
+        // inside it, whether the attempt arrived whole or byte by byte.
         let mut dec = FrameDecoder::new();
-        let mut out = Vec::new();
-        for &b in &stream {
-            if let Some(r) = dec.push_frame(b) {
-                out.push(r.map(<[u8]>::to_vec));
-            }
+        assert!(dec.push_all(&stream).contains(&Ok(b"late".to_vec())));
+        let mut dec = FrameDecoder::new();
+        let (head, last) = stream.split_at(stream.len() - 1);
+        for &b in head {
+            assert_eq!(dec.push_all(&[b]), vec![]);
         }
-        // Without pumping, the recovered frame is still queued.
-        assert!(!out.contains(&Ok(b"late".to_vec())));
-        while let Some(r) = dec.pump() {
-            out.push(r.map(<[u8]>::to_vec));
-        }
-        assert!(out.contains(&Ok(b"late".to_vec())), "pump lost it: {out:?}");
+        let out = dec.push_all(last);
+        assert!(
+            out.contains(&Ok(b"late".to_vec())),
+            "recovery waited: {out:?}"
+        );
+        assert_eq!(dec.pending_bytes(), 0);
     }
 
     #[test]

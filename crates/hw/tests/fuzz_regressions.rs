@@ -54,8 +54,8 @@ fn minimized_embedded_frame_cascade_recovers_inner_frame() {
 fn minimized_sync2_mismatch_charges_both_bytes() {
     let input = [SYNC1, 0x00];
     let mut dec = FrameDecoder::new();
-    for &b in &input {
-        assert!(dec.push_frame(b).is_none());
+    for b in input.chunks(1) {
+        dec.push_with(b, |r| panic!("no frame attempt completes, got {r:?}"));
     }
     assert_eq!(dec.bytes_skipped(), 2);
     assert_eq!(dec.pending_bytes(), 0);
@@ -63,6 +63,11 @@ fn minimized_sync2_mismatch_charges_both_bytes() {
         dec.bytes_skipped() + dec.bytes_accepted() + dec.pending_bytes(),
         input.len() as u64
     );
+    // The same two bytes in one push are charged the same way.
+    let mut whole = FrameDecoder::new();
+    whole.push_with(&input, |r| panic!("no frame attempt completes, got {r:?}"));
+    assert_eq!(whole.bytes_skipped(), 2);
+    assert_eq!(whole.pending_bytes(), 0);
 }
 
 /// ARQ-target violation, minimized: a CRC-valid data frame with a header

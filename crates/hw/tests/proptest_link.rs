@@ -2,9 +2,10 @@
 //!
 //! The decoder must (1) recover any payload from its own encoder,
 //! (2) never panic on arbitrary garbage, (3) reject any single-bit
-//! corruption of a frame, and (4) resynchronize after garbage.
+//! corruption of a frame, (4) resynchronize after garbage, and
+//! (5) decode any split of a stream into pushes exactly like one push.
 
-use distscroll_hw::link::{crc16_ccitt, encode_frame, FrameDecoder, MAX_PAYLOAD};
+use distscroll_hw::link::{crc16_ccitt, encode_frame, FrameDecoder, MAX_PAYLOAD, SYNC1, SYNC2};
 use proptest::prelude::*;
 
 proptest! {
@@ -86,5 +87,59 @@ proptest! {
         let i = idx % corrupted.len();
         corrupted[i] = corrupted[i].wrapping_add(delta);
         prop_assert_ne!(crc16_ccitt(&payload), crc16_ccitt(&corrupted));
+    }
+
+    #[test]
+    fn any_split_decodes_like_one_push(
+        parts in proptest::collection::vec(
+            (
+                proptest::collection::vec(any::<u8>(), 0..300),
+                0usize..400,
+                proptest::collection::vec((0u8..3, any::<u8>()), 0..6),
+            ),
+            0..8,
+        ),
+        cuts in proptest::collection::vec(any::<u16>(), 0..24),
+    ) {
+        // Frames (long ones truncated to a valid length), some with one
+        // bit flipped, separated by junk rich in sync bytes.
+        let mut stream = Vec::new();
+        for (payload, flip, junk) in &parts {
+            let mut frame = encode_frame(&payload[..payload.len().min(MAX_PAYLOAD)]);
+            if *flip < frame.len() * 8 {
+                frame[flip / 8] ^= 1 << (flip % 8);
+            }
+            stream.extend_from_slice(&frame);
+            stream.extend(junk.iter().map(|&(kind, b)| match kind {
+                0 => SYNC1,
+                1 => SYNC2,
+                _ => b,
+            }));
+        }
+        let mut whole = FrameDecoder::new();
+        let expect = whole.push_all(&stream);
+
+        let mut points: Vec<usize> = cuts
+            .iter()
+            .map(|&c| usize::from(c) % (stream.len() + 1))
+            .collect();
+        points.sort_unstable();
+        let mut split = FrameDecoder::new();
+        let mut got = Vec::new();
+        let mut from = 0;
+        for to in points.into_iter().chain([stream.len()]) {
+            got.extend(split.push_all(&stream[from..to]));
+            from = to;
+        }
+        prop_assert_eq!(got, expect);
+        prop_assert_eq!(split.frames_ok(), whole.frames_ok());
+        prop_assert_eq!(split.frames_bad(), whole.frames_bad());
+        prop_assert_eq!(split.bytes_skipped(), whole.bytes_skipped());
+        prop_assert_eq!(split.bytes_accepted(), whole.bytes_accepted());
+        prop_assert_eq!(split.pending_bytes(), whole.pending_bytes());
+        prop_assert_eq!(
+            split.bytes_skipped() + split.bytes_accepted() + split.pending_bytes(),
+            stream.len() as u64
+        );
     }
 }

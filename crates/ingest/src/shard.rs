@@ -7,15 +7,17 @@
 //! and counters nobody bounds.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use distscroll_host::telemetry::{Record, StreamDecoder};
 use distscroll_hw::arq::LinkQuality;
 
-/// One queued, not-yet-decoded chunk of a device's radio stream.
+/// One queued, not-yet-decoded chunk of a device's radio stream: a
+/// range of its shard's byte slab.
 #[derive(Debug, Clone)]
 pub(crate) struct Batch {
     pub(crate) device: u64,
-    pub(crate) bytes: Vec<u8>,
+    pub(crate) range: Range<usize>,
 }
 
 /// Online per-shard aggregate: everything the fleet report needs, with
@@ -80,12 +82,16 @@ impl ShardStats {
     }
 }
 
-/// One live session: the decoder carrying the ARQ receiver, and the
-/// touch stamp that orders eviction.
+/// One session slot: the decoder carrying the ARQ receiver, threaded on
+/// the shard's recency list.
 #[derive(Debug, Clone)]
 struct Session {
+    device: u64,
     decoder: StreamDecoder,
-    last_touch: u64,
+    /// The next less recently touched session.
+    prev: Option<usize>,
+    /// The next more recently touched session.
+    next: Option<usize>,
 }
 
 /// One shard: exclusive owner of the sessions its devices hash to.
@@ -97,22 +103,32 @@ struct Session {
 /// deterministic at any `--jobs`.
 #[derive(Debug)]
 pub(crate) struct Shard {
-    sessions: BTreeMap<u64, Session>,
+    /// Device id → slot of its live session.
+    index: BTreeMap<u64, usize>,
+    /// Session slots; the slot an eviction frees goes to the session
+    /// whose opening forced it.
+    slots: Vec<Session>,
+    /// Least and most recently touched live slots: the ends of a list
+    /// ordered by last touch, so eviction pops the head in O(1).
+    lru: Option<usize>,
+    mru: Option<usize>,
     queue: Vec<Batch>,
+    /// The queued batches' bytes, back to back; reused every round.
+    slab: Vec<u8>,
     stats: ShardStats,
-    /// Monotonic per-shard touch counter; unique per batch, so LRU
-    /// eviction never has to break a tie.
-    touch: u64,
     capacity: usize,
 }
 
 impl Shard {
     pub(crate) fn new(capacity: usize) -> Self {
         Shard {
-            sessions: BTreeMap::new(),
+            index: BTreeMap::new(),
+            slots: Vec::new(),
+            lru: None,
+            mru: None,
             queue: Vec::new(),
+            slab: Vec::new(),
             stats: ShardStats::default(),
-            touch: 0,
             capacity,
         }
     }
@@ -127,46 +143,33 @@ impl Shard {
         }
         self.stats.batches_in += 1;
         self.stats.bytes_in += bytes.len() as u64;
+        let start = self.slab.len();
+        self.slab.extend_from_slice(bytes);
         self.queue.push(Batch {
             device,
-            bytes: bytes.to_vec(),
+            range: start..self.slab.len(),
         });
         true
     }
 
     /// Drains the queue in FIFO order through the owning sessions.
     pub(crate) fn process_queue(&mut self) {
-        let batches = std::mem::take(&mut self.queue);
-        for batch in batches {
-            self.touch += 1;
-            let touch = self.touch;
-            if !self.sessions.contains_key(&batch.device) {
-                if self.sessions.len() >= self.capacity {
-                    self.evict_lru();
+        let mut queue = std::mem::take(&mut self.queue);
+        for batch in queue.drain(..) {
+            let slot = match self.index.get(&batch.device) {
+                Some(&slot) => {
+                    self.unlink(slot);
+                    slot
                 }
-                self.stats.sessions_opened += 1;
-                // The raw-decoder rule exempts this file: the shard
-                // registry IS the sanctioned construction site.
-                let decoder = StreamDecoder::with_arq_resync();
-                self.sessions.insert(
-                    batch.device,
-                    Session {
-                        decoder,
-                        last_touch: touch,
-                    },
-                );
-                let live = self.sessions.len() as u64;
-                self.stats.peak_sessions = self.stats.peak_sessions.max(live);
-            }
-            let Some(session) = self.sessions.get_mut(&batch.device) else {
-                continue; // unreachable: inserted above
+                None => self.open(batch.device),
             };
-            session.last_touch = touch;
+            self.link_mru(slot);
+            let session = &mut self.slots[slot];
             let was_resynced = session.decoder.arq_resynced();
             let (events, states) = (&mut self.stats.events, &mut self.stats.states);
             session
                 .decoder
-                .push_bytes_with(&batch.bytes, |rec| match rec {
+                .push_bytes_with(&self.slab[batch.range], |rec| match rec {
                     Record::Event(_) => *events += 1,
                     Record::State(_) => *states += 1,
                 });
@@ -174,25 +177,79 @@ impl Shard {
                 self.stats.resyncs += 1;
             }
         }
+        self.queue = queue;
+        self.slab.clear();
+    }
+
+    /// Opens a session for `device`, evicting the least recently
+    /// touched one first at capacity, and returns its unlinked slot.
+    fn open(&mut self, device: u64) -> usize {
+        let freed = if self.index.len() >= self.capacity {
+            self.evict_lru()
+        } else {
+            None
+        };
+        self.stats.sessions_opened += 1;
+        let session = Session {
+            device,
+            // The raw-decoder rule exempts this file: the shard
+            // registry IS the sanctioned construction site.
+            decoder: StreamDecoder::with_arq_resync(),
+            prev: None,
+            next: None,
+        };
+        let slot = match freed {
+            Some(slot) => {
+                self.slots[slot] = session;
+                slot
+            }
+            None => {
+                self.slots.push(session);
+                self.slots.len() - 1
+            }
+        };
+        self.index.insert(device, slot);
+        let live = self.index.len() as u64;
+        self.stats.peak_sessions = self.stats.peak_sessions.max(live);
+        slot
+    }
+
+    /// Takes `slot` out of the recency list.
+    fn unlink(&mut self, slot: usize) {
+        let Session { prev, next, .. } = self.slots[slot];
+        match prev {
+            Some(p) => self.slots[p].next = next,
+            None => self.lru = next,
+        }
+        match next {
+            Some(n) => self.slots[n].prev = prev,
+            None => self.mru = prev,
+        }
+    }
+
+    /// Appends `slot` to the recency list as the most recently touched.
+    fn link_mru(&mut self, slot: usize) {
+        self.slots[slot].prev = self.mru;
+        self.slots[slot].next = None;
+        match self.mru {
+            Some(m) => self.slots[m].next = Some(slot),
+            None => self.lru = Some(slot),
+        }
+        self.mru = Some(slot);
     }
 
     /// Evicts the least-recently-touched session, folding its counters
-    /// into the shard aggregate. Touch stamps are unique within a shard,
-    /// so the victim is unambiguous.
-    fn evict_lru(&mut self) {
-        let victim = self
-            .sessions
-            .iter()
-            .min_by_key(|(device, s)| (s.last_touch, **device))
-            .map(|(device, _)| *device);
-        let Some(device) = victim else {
-            return;
-        };
-        let Some(session) = self.sessions.remove(&device) else {
-            return;
-        };
+    /// into the shard aggregate, and returns its freed slot. Every batch
+    /// touches its session, so the list order is the order of last
+    /// touches and the victim is unambiguous.
+    fn evict_lru(&mut self) -> Option<usize> {
+        let slot = self.lru?;
+        self.unlink(slot);
+        let session = &self.slots[slot];
+        self.index.remove(&session.device);
         self.stats.evicted += 1;
         Self::fold_decoder(&mut self.stats, &session.decoder);
+        Some(slot)
     }
 
     /// Streams a retiring decoder's counters into the aggregate.
@@ -210,16 +267,19 @@ impl Shard {
     /// (without counting them as evictions) and returns the final
     /// stats. The shard is drained afterwards.
     pub(crate) fn finish(&mut self) -> ShardStats {
-        let sessions = std::mem::take(&mut self.sessions);
-        for session in sessions.values() {
-            Self::fold_decoder(&mut self.stats, &session.decoder);
+        for &slot in self.index.values() {
+            Self::fold_decoder(&mut self.stats, &self.slots[slot].decoder);
         }
+        self.index.clear();
+        self.slots.clear();
+        self.lru = None;
+        self.mru = None;
         self.stats
     }
 
     /// Live sessions right now (bounded by `session_capacity`).
     pub(crate) fn live_sessions(&self) -> usize {
-        self.sessions.len()
+        self.index.len()
     }
 
     /// Batches queued and not yet processed.
@@ -291,5 +351,108 @@ mod tests {
         assert_eq!(stats.records, 5);
         assert_eq!(stats.frames_in, 5);
         assert_eq!(stats.peak_sessions, 1);
+    }
+
+    /// `n` in-order data frames carrying event records, continuing a
+    /// device's sequence numbers at `seq`.
+    fn data_frames(seq: &mut u16, n: u8) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for i in 0..n {
+            let [hi, lo] = seq.to_be_bytes();
+            bytes.extend_from_slice(&encode_frame(&[b'D', hi, lo, b'E', 0, i, b'B', 0]));
+            *seq = seq.wrapping_add(1);
+        }
+        bytes
+    }
+
+    /// The live devices from least to most recently touched, walking the
+    /// shard's recency list.
+    fn recency_order(shard: &Shard) -> Vec<u64> {
+        let mut order = Vec::new();
+        let mut at = shard.lru;
+        while let Some(slot) = at {
+            order.push(shard.slots[slot].device);
+            at = shard.slots[slot].next;
+        }
+        order
+    }
+
+    #[test]
+    fn recency_list_evicts_like_the_min_touch_scan() {
+        const CAPACITY: usize = 4;
+        const DEVICES: u64 = 11;
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next_random = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut shard = Shard::new(CAPACITY);
+        let mut seqs = [0u16; DEVICES as usize];
+        // The reference: last touch and records delivered since open, per
+        // live device; the victim is the `(last_touch, device)` minimum.
+        let mut model: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        let (mut opens, mut evictions, mut sent) = (0u64, 0u64, 0u64);
+        for touch in 0..2_000u64 {
+            // Skewed towards a few hot devices, so sessions both stay
+            // warm and go cold.
+            let r = next_random();
+            let device = if r % 3 == 0 {
+                (r >> 8) % 3
+            } else {
+                r % DEVICES
+            };
+            let n = (next_random() % 3 + 1) as u8;
+            let expected_victim = if model.contains_key(&device) {
+                None
+            } else {
+                opens += 1;
+                (model.len() >= CAPACITY)
+                    .then(|| model.iter().min_by_key(|(d, (t, _))| (*t, **d)))
+                    .flatten()
+                    .map(|(d, _)| *d)
+            };
+            if let Some(victim) = expected_victim {
+                model.remove(&victim);
+                evictions += 1;
+            }
+            let entry = model.entry(device).or_insert((touch, 0));
+            *entry = (touch, entry.1 + u64::from(n));
+            sent += u64::from(n);
+
+            let before: Vec<u64> = shard.index.keys().copied().collect();
+            let bytes = data_frames(&mut seqs[device as usize], n);
+            assert!(shard.enqueue(device, &bytes, usize::MAX));
+            shard.process_queue();
+            let victim = before.into_iter().find(|d| !shard.index.contains_key(d));
+            assert_eq!(victim, expected_victim, "touch {touch}");
+
+            let mut by_touch: Vec<(u64, u64)> = model.iter().map(|(&d, &(t, _))| (t, d)).collect();
+            by_touch.sort_unstable();
+            let expect_order: Vec<u64> = by_touch.into_iter().map(|(_, d)| d).collect();
+            assert_eq!(recency_order(&shard), expect_order, "touch {touch}");
+            // A reused slot starts from zero: its decoder has delivered
+            // exactly the records sent since this device's session opened.
+            for (&d, &(_, records)) in &model {
+                let slot = shard.index[&d];
+                assert_eq!(
+                    shard.slots[slot].decoder.records_ok(),
+                    records,
+                    "device {d}"
+                );
+            }
+            assert!(shard.slots.len() <= CAPACITY, "slots are reused");
+        }
+        assert!(evictions > 100, "the schedule must churn: {evictions}");
+        let stats = shard.finish();
+        assert_eq!(stats.sessions_opened, opens);
+        assert_eq!(stats.evicted, evictions);
+        // Every record is folded exactly once: at eviction or at finish.
+        assert_eq!(stats.records, sent);
+        assert_eq!(stats.events, sent);
+        assert_eq!(stats.link.delivered, sent);
+        assert_eq!(stats.frames_in, sent);
+        assert_eq!(shard.live_sessions(), 0);
     }
 }
