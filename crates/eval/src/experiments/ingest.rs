@@ -266,7 +266,6 @@ mod tests {
 
     #[test]
     fn l3_is_deterministic_across_jobs() {
-        std::env::set_var("DISTSCROLL_PAR_OVERSUBSCRIBE", "1");
         super::super::set_jobs(1);
         let serial = run(Effort::Quick, 7);
         for jobs in [2, 8] {

@@ -99,8 +99,8 @@ impl std::fmt::Display for ExperimentReport {
 ///
 /// `0` means "auto" (the machine's available parallelism); `1` forces
 /// the serial path everywhere. Experiments read it through [`jobs`] at
-/// their fan-out points; the shared pool in `distscroll-par` enforces
-/// it globally, so nested fan-outs (users inside experiments) borrow
+/// their fan-out points; `distscroll-par` enforces it globally, so
+/// nested fan-outs (users inside experiments) borrow
 /// from this one budget instead of multiplying threads. Results are
 /// byte-for-byte identical at any value — parallelism only reorders
 /// *execution*, never records — so a process-wide knob is safe.
@@ -203,8 +203,7 @@ pub fn run_id(id: &str, effort: Effort, seed: u64) -> Option<ExperimentReport> {
 
 /// Runs every experiment and reports in the canonical order.
 ///
-/// The experiments fan out over the shared pool under a [`jobs`]
-/// token budget; each is internally deterministic (all stochasticity
+/// The experiments fan out under a [`jobs`] token budget; each is internally deterministic (all stochasticity
 /// flows from `seed`), and the join reassembles reports in canonical
 /// order, so the output is identical to running them one after another.
 pub fn run_all(effort: Effort, seed: u64) -> Vec<ExperimentReport> {

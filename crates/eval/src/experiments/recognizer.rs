@@ -246,7 +246,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
         })
         .collect();
 
-    // Both recognizers over every cell, fanned out over the pool; the
+    // Both recognizers over every cell, fanned out over `jobs()`; the
     // join keeps input order so the report is identical at any --jobs.
     let outcomes: Vec<(CellOutcome, CellOutcome)> =
         distscroll_par::par_map(jobs(), &cells, |i, &cell| {

@@ -73,7 +73,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
                 (probe.name(), probe.hands_required())
             };
             // One technique per worker-chunk so the cohort can fan out
-            // over the pool; records join in (user, trial) order.
+            // over `jobs()`; records join in (user, trial) order.
             let records = run_users(&cohort, jobs(), ctor, |tech, uid, user| {
                 let plan = TaskPlan::block(n, trials, 100, seed ^ ((uid as u64) << 13) ^ n as u64);
                 run_block(

@@ -1,7 +1,7 @@
 //! Cohort × technique × condition trial loops.
 //!
 //! [`run_block`] runs one user through one block on one technique;
-//! [`run_users`] fans a cohort out over the shared worker pool — each
+//! [`run_users`] fans a cohort out over `jobs` threads — each
 //! worker-chunk builds its *own* technique instance via the context
 //! factory, so no `&mut` state crosses chunks and per-user setup cost
 //! is amortized over the chunk — and [`run_cohort`] is the standard
@@ -59,8 +59,7 @@ pub fn run_block(
         .collect()
 }
 
-/// Fans a cohort out over the shared worker pool (budgeted by `jobs`
-/// tokens) and returns every user's records concatenated in
+/// Fans a cohort out over up to `jobs` threads and returns every user's records concatenated in
 /// `(user_id, trial)` order.
 ///
 /// `mk_ctx` builds the per-chunk context — typically a technique
@@ -91,7 +90,7 @@ where
 }
 
 /// Runs every user of a cohort through (their own copy of) a task plan,
-/// fanned out over up to `jobs` pool tokens (`jobs = 1` forces the
+/// fanned out over up to `jobs` threads (`jobs = 1` forces the
 /// serial path; the records are identical either way).
 ///
 /// Each user gets a distinct trial seed derived from `seed` and a

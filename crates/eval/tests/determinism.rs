@@ -1,18 +1,15 @@
 //! The parallel harness's load-bearing guarantee: the worker-token
 //! budget must never change a single record or rendered report.
 //!
-//! `run_cohort` fans users out over the shared pool and `run_all` fans
+//! `run_cohort` fans users out over `jobs` threads and `run_all` fans
 //! whole experiments out; both slot results by input index and
 //! reassemble in order, and every unit of work derives its
 //! stochasticity from per-(user, block) seeds. Chunk boundaries — and
 //! therefore which users share one technique instance — differ between
 //! job counts, so these tests also catch a technique that smuggles
 //! state across trials, a threaded RNG, or a shared `&mut` instance.
-//!
-//! `DISTSCROLL_PAR_OVERSUBSCRIBE=1` lifts the executor's core-count
-//! clamp so the parallel paths run real helper threads even on
-//! single-core CI machines (without it, every budget collapses to one
-//! token there and the comparison is vacuous).
+//! `--jobs N` spawns real helper threads on any core count, so the
+//! parallel runs are never the serial path in disguise.
 
 use distscroll_baselines::buttons::ButtonsTechnique;
 use distscroll_baselines::distscroll::DistScrollTechnique;
@@ -23,13 +20,8 @@ use distscroll_user::population::sample_cohort;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn oversubscribe() {
-    std::env::set_var("DISTSCROLL_PAR_OVERSUBSCRIBE", "1");
-}
-
 #[test]
 fn cohort_records_identical_at_jobs_1_2_4_and_8() {
-    oversubscribe();
     let mut rng = StdRng::seed_from_u64(20050607);
     let cohort = sample_cohort(8, &mut rng);
     let factories: [&TechniqueFactory; 2] = [
@@ -50,7 +42,6 @@ fn cohort_records_identical_at_jobs_1_2_4_and_8() {
 
 #[test]
 fn registry_reports_identical_at_jobs_1_2_4_and_8() {
-    oversubscribe();
     set_jobs(1);
     let serial = run_all(Effort::Quick, 20050607);
 

@@ -7,8 +7,8 @@
 //! is that service, built from the pieces the repo already trusts —
 //! [`distscroll_host::telemetry::StreamDecoder`] terminates each
 //! session's ARQ exactly as in the single-device path, and
-//! [`distscroll_par::par_map`] provides the worker pool under the
-//! global `--jobs` token budget.
+//! [`distscroll_par::par_for_each_mut`] lends each shard `&mut` to one
+//! thread under the global `--jobs` budget.
 //!
 //! # Architecture
 //!
@@ -16,8 +16,8 @@
 //!   partitioned by `device_id % shards` into [`shard::Shard`]s. A
 //!   shard exclusively owns its sessions and drains its input queue in
 //!   FIFO order, so a round of processing is deterministic regardless
-//!   of how many workers execute the shards — `--jobs` moves wall-clock
-//!   time, never a counter.
+//!   of how many threads execute the shards — `--jobs` moves wall-clock
+//!   time, never a counter. No shard sits behind a lock.
 //! * **Backpressure** — each shard's input queue has a high-water mark.
 //!   Offers beyond it are *shed with a counter* ([`ShardStats::shed_batches`]),
 //!   never silently dropped: the caller learns immediately (the offer
@@ -30,16 +30,22 @@
 //!   O(devices × frames). A device that transmits again after eviction
 //!   gets a fresh resync decoder
 //!   ([`StreamDecoder::with_arq_resync`](distscroll_host::telemetry::StreamDecoder::with_arq_resync))
-//!   that adopts the mid-stream sequence number — no stall, no
-//!   duplicate delivery.
+//!   that adopts the first sequence number it hears — no stall, but
+//!   **not** at-most-once: when that frame is a retransmission of
+//!   records the evicted session already delivered, the resumed session
+//!   delivers them again. This is the known re-delivery defect (the
+//!   ROADMAP item "Make eviction at-most-once"); perfbench's
+//!   `churn_gate_catches_double_delivery` pins it.
 //! * **Streaming aggregation** — `LinkQuality` and interaction counters
 //!   accumulate online per shard; nothing retains per-frame history.
 //!
 //! Construction of raw `StreamDecoder`s is confined to the shard
-//! registry ([`shard`]) and enforced by the `raw-decoder` lint rule:
-//! every session in this crate exists in exactly one shard's books.
-//! The capture-side [`loadgen`] is the one other exempt file; its
-//! decoders measure ground truth outside any shard.
+//! registry ([`shard`]): every session in this crate exists in exactly
+//! one shard's books, and the fleet ledger test
+//! (`tests/fleet_ledger.rs`) checks that every offered byte and every
+//! frame on the air is accounted for there. The capture-side
+//! [`loadgen`] is the one other place that opens decoders; they measure
+//! ground truth outside any shard.
 
 pub mod loadgen;
 pub mod service;

@@ -75,6 +75,11 @@ pub struct Template {
     pub records: u64,
     /// Interaction-event records among them, measured the same way.
     pub events: u64,
+    /// Records the device's ARQ transmitter saw acknowledged by the
+    /// capture-side host ([`LinkQuality::acked`](distscroll_hw::arq::LinkQuality::acked)):
+    /// the device-side ledger, counted without the replay decoder that
+    /// measures [`records`](Template::records).
+    pub device_acked: u64,
 }
 
 /// Captures one scripted device session through the real firmware,
@@ -143,6 +148,7 @@ pub fn inorder_template(rounds: u64, per_round: u64) -> Template {
         rounds: chunks,
         records,
         events: records,
+        device_acked: tx.quality().acked,
     }
 }
 
@@ -210,6 +216,7 @@ fn capture_scripted(
         rounds: chunks,
         records: replay.records_ok(),
         events,
+        device_acked: dev.firmware().arq_quality().map_or(0, |q| q.acked),
     }
 }
 
@@ -314,6 +321,32 @@ mod tests {
         assert!(a.events > 0, "clicks must appear in the stream");
         let c = capture_template(LinkProfile::LOSSY, 12, 100, 43);
         assert_ne!(a.rounds, c.rounds, "seeds must matter");
+    }
+
+    /// The replay count and the device-side ledger are measured by
+    /// different parties: the host's replay decoder, and the device's
+    /// transmitter counting acknowledgements. They agree within the
+    /// frame or two documented on [`Template::records`], and neither is
+    /// zero, so a host decoder that delivers nothing cannot pass.
+    #[test]
+    fn replay_count_matches_the_device_side_ack_ledger() {
+        for link in [LinkProfile::CLEAN, LinkProfile::LOSSY] {
+            for seed in [7, 42, 20050607] {
+                let t = capture_template(link, 12, 100, seed);
+                assert!(
+                    t.device_acked > 0,
+                    "{link:?} seed {seed}: the device saw no ack"
+                );
+                assert!(
+                    t.records.abs_diff(t.device_acked) <= 2,
+                    "{link:?} seed {seed}: replay delivered {} records, the device saw {} acked",
+                    t.records,
+                    t.device_acked
+                );
+            }
+        }
+        let t = inorder_template(12, 3);
+        assert_eq!((t.records, t.device_acked), (36, 36));
     }
 
     #[test]

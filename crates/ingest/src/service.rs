@@ -1,17 +1,8 @@
 //! The ingest front door: routes device traffic to shards and drains
-//! the shards through the shared worker pool.
-
-use std::sync::{Mutex, MutexGuard, PoisonError};
+//! the shards through the `--jobs` fan-out.
 
 use crate::shard::Shard;
 use crate::{shard_of, IngestConfig, ShardStats};
-
-/// A poisoned shard still holds consistent counters — every mutation
-/// completes before the lock drops — so ingest keeps the books open
-/// rather than cascading a worker panic into the whole fleet.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Final fleet books: per-shard stats plus their merged totals.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,11 +19,10 @@ pub struct IngestStats {
 ///
 /// Usage is round-based: [`IngestService::offer`] traffic as it
 /// arrives, [`IngestService::process_round`] to drain every shard's
-/// queue through the worker pool, repeat; [`IngestService::finish`]
-/// closes the books.
+/// queue, repeat; [`IngestService::finish`] closes the books.
 #[derive(Debug)]
 pub struct IngestService {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Shard>,
     high_water: usize,
 }
 
@@ -41,7 +31,7 @@ impl IngestService {
         assert!(cfg.shards > 0, "an ingest service needs at least one shard");
         IngestService {
             shards: (0..cfg.shards)
-                .map(|_| Mutex::new(Shard::new(cfg.session_capacity)))
+                .map(|_| Shard::new(cfg.session_capacity))
                 .collect(),
             high_water: cfg.high_water,
         }
@@ -57,53 +47,37 @@ impl IngestService {
     /// (the shed is also counted in that shard's stats).
     pub fn offer(&mut self, device: u64, bytes: &[u8]) -> bool {
         let idx = shard_of(device, self.shards.len());
-        // `&mut self` proves no worker holds a lock: direct access.
-        let Some(m) = self.shards.get_mut(idx) else {
+        let Some(shard) = self.shards.get_mut(idx) else {
             return false; // unreachable: idx < len by construction
         };
-        m.get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .enqueue(device, bytes, self.high_water)
+        shard.enqueue(device, bytes, self.high_water)
     }
 
-    /// Drains every shard's queue, fanning the shards across the worker
-    /// pool. Each shard is drained by exactly one worker and owns its
-    /// sessions exclusively, so every counter is identical at any
-    /// `jobs` — the knob buys wall-clock time only.
+    /// Drains every shard's queue, fanning the shards out over up to
+    /// `jobs` threads. Each shard is lent `&mut` to exactly one thread
+    /// and owns its sessions exclusively, so every counter is identical
+    /// at any `jobs` — the knob buys wall-clock time only. At `jobs = 1`
+    /// this is a plain loop over the shards.
     pub fn process_round(&mut self, jobs: usize) {
-        distscroll_par::par_map(jobs, &self.shards, |_, m| {
-            lock_unpoisoned(m).process_queue();
+        distscroll_par::par_for_each_mut(jobs, &mut self.shards, |_, shard| {
+            shard.process_queue();
         });
     }
 
     /// Batches queued across all shards and not yet processed.
-    pub fn queued(&mut self) -> usize {
-        self.shards
-            .iter_mut()
-            .map(|m| m.get_mut().unwrap_or_else(PoisonError::into_inner).queued())
-            .sum()
+    pub fn queued(&self) -> usize {
+        self.shards.iter().map(Shard::queued).sum()
     }
 
     /// Live sessions across all shards.
-    pub fn live_sessions(&mut self) -> usize {
-        self.shards
-            .iter_mut()
-            .map(|m| {
-                m.get_mut()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .live_sessions()
-            })
-            .sum()
+    pub fn live_sessions(&self) -> usize {
+        self.shards.iter().map(Shard::live_sessions).sum()
     }
 
     /// Closes the books: folds every live session into its shard's
     /// aggregate and returns per-shard stats plus fleet totals.
     pub fn finish(mut self) -> IngestStats {
-        let per_shard: Vec<ShardStats> = self
-            .shards
-            .iter_mut()
-            .map(|m| m.get_mut().unwrap_or_else(PoisonError::into_inner).finish())
-            .collect();
+        let per_shard: Vec<ShardStats> = self.shards.iter_mut().map(Shard::finish).collect();
         let mut totals = ShardStats::default();
         for s in &per_shard {
             totals.merge(s);

@@ -1,10 +1,11 @@
 //! The session registry: one shard's exclusive slice of the fleet.
 //!
 //! This module is the only place in the crate that opens a fleet
-//! session's raw [`StreamDecoder`] (enforced by the `raw-decoder` lint
-//! rule, which also exempts the capture-side `loadgen`) —
-//! a session that is not in a shard's books is a session whose memory
-//! and counters nobody bounds.
+//! session's raw [`StreamDecoder`] (the capture-side `loadgen` opens
+//! others to measure ground truth) — a session that is not in a shard's
+//! books is a session whose memory and counters nobody bounds. The
+//! fleet ledger test (`tests/fleet_ledger.rs`) checks that every
+//! offered byte and frame reaches these books.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -97,10 +98,10 @@ struct Session {
 /// One shard: exclusive owner of the sessions its devices hash to.
 ///
 /// All mutation happens through [`Shard::enqueue`] (producer side) and
-/// [`Shard::process_queue`] (worker side); the service guarantees the
-/// two never interleave within a round, and that exactly one worker
-/// drains a given shard — which is what makes every counter here
-/// deterministic at any `--jobs`.
+/// [`Shard::process_queue`] (worker side). Both take `&mut self`, so
+/// the two never interleave and exactly one thread drains a given
+/// shard — which is what makes every counter here deterministic at any
+/// `--jobs`.
 #[derive(Debug)]
 pub(crate) struct Shard {
     /// Device id → slot of its live session.
@@ -192,8 +193,6 @@ impl Shard {
         self.stats.sessions_opened += 1;
         let session = Session {
             device,
-            // The raw-decoder rule exempts this file: the shard
-            // registry IS the sanctioned construction site.
             decoder: StreamDecoder::with_arq_resync(),
             prev: None,
             next: None,

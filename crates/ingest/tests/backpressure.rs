@@ -6,10 +6,6 @@
 //!   streams — evicted-then-resumed sessions re-sync through ARQ
 //!   without duplicates;
 //! * every counter is identical at `--jobs` 1/2/4/8.
-//!
-//! `DISTSCROLL_PAR_OVERSUBSCRIBE=1` lifts the executor's core-count
-//! clamp so the multi-job runs exercise real helper threads even on
-//! single-core CI machines.
 
 use distscroll_ingest::loadgen::{
     capture_template, inorder_template, CohortLoad, LinkProfile, Template,
@@ -19,10 +15,6 @@ use distscroll_ingest::{shard_of, IngestConfig, IngestService, IngestStats};
 const SHARDS: usize = 4;
 const DEVICES: u64 = 40;
 const SEED: u64 = 20050607;
-
-fn oversubscribe() {
-    std::env::set_var("DISTSCROLL_PAR_OVERSUBSCRIBE", "1");
-}
 
 fn clean_cohort() -> CohortLoad {
     let template: Template = capture_template(LinkProfile::CLEAN, 10, 100, SEED);
@@ -59,7 +51,6 @@ fn drive(cfg: &IngestConfig, load: &CohortLoad, burst: u64, jobs: usize) -> (Ing
 
 #[test]
 fn unbounded_ingest_delivers_ground_truth_exactly() {
-    oversubscribe();
     let load = clean_cohort();
     let (stats, refused) = drive(&IngestConfig::unbounded(SHARDS), &load, 0, 2);
     assert_eq!(refused, 0);
@@ -81,7 +72,6 @@ fn unbounded_ingest_delivers_ground_truth_exactly() {
 
 #[test]
 fn overdriving_one_shard_sheds_exactly_and_spares_the_rest() {
-    oversubscribe();
     let load = clean_cohort();
     let unbounded = IngestConfig::unbounded(SHARDS);
     let (baseline, _) = drive(&unbounded, &load, 0, 2);
@@ -114,7 +104,6 @@ fn overdriving_one_shard_sheds_exactly_and_spares_the_rest() {
 
 #[test]
 fn eviction_resumes_sessions_without_loss_or_duplicates() {
-    oversubscribe();
     // Strictly in-order single-class templates: a resumed session's
     // first frame is exactly the next undelivered sequence, so
     // zero-loss, zero-duplicate resume is exactly checkable.
@@ -147,7 +136,6 @@ fn eviction_resumes_sessions_without_loss_or_duplicates() {
 
 #[test]
 fn every_counter_is_jobs_invariant() {
-    oversubscribe();
     let load = clean_cohort();
     let cfg = IngestConfig {
         high_water: 16,

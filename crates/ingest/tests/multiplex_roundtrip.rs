@@ -78,7 +78,6 @@ proptest! {
         shards in 1usize..6,
         lose_acks in proptest::collection::vec(any::<bool>(), 1..12),
     ) {
-        std::env::set_var("DISTSCROLL_PAR_OVERSUBSCRIBE", "1");
         let expected: u64 = counts.iter().map(|&n| n as u64).sum();
         let serial = run(&counts, shards, &lose_acks, 1);
         // Exactly once per record, fleet-wide, despite lost acks

@@ -7,6 +7,7 @@ pub mod hash_iter;
 pub mod panic_lib;
 pub mod raw_filter;
 pub mod serial_arith;
+pub mod shared_lock;
 pub mod thread_spawn;
 pub mod unfulfilled_expect;
 pub mod unsafe_code;

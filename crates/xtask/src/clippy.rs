@@ -1,4 +1,5 @@
-//! The self-test of the rules that rustc and clippy enforce.
+//! `xtask lint --self-test`: the self-test of the rules that rustc and
+//! clippy enforce.
 //!
 //! `fixtures/clippy/` is a package of its own whose `src/*.rs` files are
 //! known-bad and known-clean snippets. [`self_test`] runs clippy over it
@@ -10,12 +11,34 @@
 //! the two tables differ.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::path::Path;
 use std::process::Command;
 
-use crate::{check_fixture, entries, read, LintError};
+/// Why the self-test could not finish or did not hold.
+#[derive(Debug)]
+pub enum LintError {
+    /// A file could not be read or cargo could not be started.
+    Io(String),
+    /// A fixture is malformed, or its findings differ from its header.
+    Fixture(String),
+}
 
-/// Runs `cargo clippy --offline` over `root/crates/lint/fixtures/clippy`
+impl fmt::Display for LintError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LintError::Io(msg) => write!(f, "I/O error: {msg}"),
+            LintError::Fixture(msg) => write!(f, "fixture error: {msg}"),
+        }
+    }
+}
+
+/// Reads a file, or says which one could not be read.
+fn read(path: &Path) -> Result<String, LintError> {
+    std::fs::read_to_string(path).map_err(|e| LintError::Io(format!("{}: {e}", path.display())))
+}
+
+/// Runs `cargo clippy --offline` over `root/crates/xtask/fixtures/clippy`
 /// (target dir `root/target/lint-fixtures`) and checks every fixture.
 /// Returns one summary line per fixture file.
 ///
@@ -25,7 +48,7 @@ use crate::{check_fixture, entries, read, LintError};
 /// nothing, or a file's findings differ from its header;
 /// [`LintError::Io`] when a file cannot be read or cargo cannot start.
 pub fn self_test(root: &Path) -> Result<Vec<String>, LintError> {
-    let pkg = root.join("crates/lint/fixtures/clippy");
+    let pkg = root.join("crates/xtask/fixtures/clippy");
     let workspace = read(&root.join("Cargo.toml"))?;
     let restated = read(&pkg.join("Cargo.toml"))?;
     for tool in ["rust", "clippy"] {
@@ -59,17 +82,49 @@ pub fn self_test(root: &Path) -> Result<Vec<String>, LintError> {
         )));
     }
 
+    let src = pkg.join("src");
+    let listing =
+        std::fs::read_dir(&src).map_err(|e| LintError::Io(format!("{}: {e}", src.display())));
+    let mut names: Vec<String> = listing?
+        .filter_map(|e| Some(e.ok()?.file_name().to_string_lossy().into_owned()))
+        .collect();
+    names.sort();
     let mut summaries = Vec::new();
-    for name in entries(&pkg.join("src"))? {
+    for name in names {
         let name = format!("src/{name}");
         let got = found.remove(&name).unwrap_or_default();
         let text = read(&pkg.join(&name))?;
-        summaries.push(format!("clippy/{}", check_fixture(&name, &text, got)?));
+        summaries.push(check_fixture(&name, &text, got)?);
     }
     match found.into_iter().next() {
         Some((file, got)) => Err(LintError::Fixture(format!("unexpected in {file}: {got:?}"))),
         None => Ok(summaries),
     }
+}
+
+/// Checks a fixture's `(line, id)` findings against the
+/// `//@ expect: <id>@<line>` lines of its text; returns its summary.
+fn check_fixture(
+    name: &str,
+    text: &str,
+    mut found: Vec<(usize, String)>,
+) -> Result<String, LintError> {
+    let mut expected = Vec::new();
+    for e in text.lines().filter_map(|l| l.strip_prefix("//@ expect: ")) {
+        let parsed = e
+            .split_once('@')
+            .and_then(|(id, line)| Some((line.trim().parse().ok()?, id.to_string())));
+        let bad = || LintError::Fixture(format!("{name}: `{e}` is not <id>@<line>"));
+        expected.push(parsed.ok_or_else(bad)?);
+    }
+    expected.sort();
+    found.sort();
+    if found != expected {
+        return Err(LintError::Fixture(format!(
+            "{name}\n  expected: {expected:?}\n  found:    {found:?}"
+        )));
+    }
+    Ok(format!("{name}: {} finding(s) as expected", found.len()))
 }
 
 /// The `(file, line, lint id)` of every diagnostic with a lint code in
@@ -127,5 +182,14 @@ mod tests {
         let toml = "[a]\nx = 1\n[lints.clippy]\n# why\npanic = \"deny\"\n\n[package]\ny = 2\n";
         assert_eq!(table(toml, "[lints.clippy]"), vec!["panic = \"deny\""]);
         assert!(table(toml, "[lints.rust]").is_empty());
+    }
+
+    #[test]
+    fn fixture_headers_must_match_the_findings_exactly() {
+        let text = "//@ expect: clippy::panic@3\n\npanic!()\n";
+        let hit = vec![(3, "clippy::panic".to_string())];
+        assert!(check_fixture("a.rs", text, hit).is_ok());
+        assert!(check_fixture("a.rs", text, Vec::new()).is_err());
+        assert!(check_fixture("a.rs", "//@ expect: nope\n", Vec::new()).is_err());
     }
 }

@@ -2,8 +2,7 @@
 //! for anything that must behave identically on every machine.
 //!
 //! ```text
-//! cargo run -p xtask -- lint                 # scan the workspace; exit 1 on findings
-//! cargo run -p xtask -- lint --self-test     # the lint fixtures, and clippy over its fixtures
+//! cargo run -p xtask -- lint --self-test     # clippy over the fixture package; exit 1 on a mismatch
 //!
 //! cargo run -p xtask -- fuzz                 # fuzz the wire front door; exit 1 on violation
 //! cargo run -p xtask -- fuzz --iters N       # mutated inputs per target (default 10000)
@@ -14,8 +13,10 @@
 //! cargo run -p xtask -- fuzz --replay        # corpus replay only, no mutation
 //! ```
 //!
-//! Exit codes: `0` clean, `1` violations found (or a fixture the
-//! scanner failed to flag), `2` usage / I/O errors.
+//! Exit codes: `0` clean, `1` violations found (or a fixture whose
+//! findings differ from its header), `2` usage / I/O errors.
+
+mod clippy;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -24,7 +25,7 @@ use distscroll_fuzz::{corpus, FuzzConfig, TargetKind};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cargo run -p xtask -- lint [--self-test]\n\
+        "usage: cargo run -p xtask -- lint --self-test\n\
          \x20      cargo run -p xtask -- fuzz [--iters N] [--seed S] [--target NAME]... \
          [--corpus DIR] [--out DIR] [--grow] [--init-corpus] [--replay] [--root DIR]"
     );
@@ -182,43 +183,16 @@ fn fuzz(args: Vec<String>) -> ExitCode {
 }
 
 fn lint(args: Vec<String>) -> ExitCode {
-    let root = default_root();
     match args.as_slice() {
-        [] => {}
-        [flag] if flag == "--self-test" => return lint_self_test(&root),
-        _ => return usage(),
-    }
-    let (diags, files) = match distscroll_lint::scan_workspace(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("lint: error — {e}");
-            return ExitCode::from(2);
-        }
-    };
-    for d in &diags {
-        println!("{d}");
-    }
-    if diags.is_empty() {
-        println!("lint: PASS — {files} files scanned, 0 violations");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "lint: FAIL — {} violation(s) across {files} files scanned",
-            diags.len()
-        );
-        ExitCode::FAILURE
+        [flag] if flag == "--self-test" => lint_self_test(&default_root()),
+        _ => usage(),
     }
 }
 
-/// Both halves of the self-test: the scanner's own fixtures, then clippy
-/// over the fixture package of the rules rustc and clippy enforce.
+/// Runs clippy over the fixture package of the rules rustc and clippy
+/// enforce, and checks each fixture's findings against its header.
 fn lint_self_test(root: &Path) -> ExitCode {
-    let fixtures = root.join("crates").join("lint").join("fixtures");
-    let result = distscroll_lint::self_test(&fixtures).and_then(|mut summaries| {
-        summaries.extend(distscroll_lint::clippy::self_test(root)?);
-        Ok(summaries)
-    });
-    match result {
+    match clippy::self_test(root) {
         Ok(summaries) => {
             for s in &summaries {
                 println!("self-test: {s}");
@@ -226,7 +200,7 @@ fn lint_self_test(root: &Path) -> ExitCode {
             println!("self-test: PASS — {} fixtures", summaries.len());
             ExitCode::SUCCESS
         }
-        Err(distscroll_lint::LintError::Fixture(msg)) => {
+        Err(clippy::LintError::Fixture(msg)) => {
             eprintln!("self-test: FAIL — {msg}");
             ExitCode::FAILURE
         }

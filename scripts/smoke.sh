@@ -2,7 +2,7 @@
 # Smoke the full experiment suite through the parallel harness.
 #
 # Runs every experiment at quick effort twice — serial (`--jobs 1`) and
-# through the shared pool (`--jobs 4`) — and fails on:
+# fanned out over four threads (`--jobs 4`) — and fails on:
 #   (a) a nonzero exit — the CLI exits 1 when any experiment stops
 #       holding the paper's shape;
 #   (b) a shape regression in the printed summary, checked independently
