@@ -6,6 +6,10 @@
 //! the code, the display shows the highlight, and the user's discretely-
 //! sampling eye closes the loop. Nothing here is shortcut: selection
 //! times and errors emerge from physics + firmware + motor control.
+//!
+//! [`select_loop`] is that loop, written once: every full-stack trial
+//! (this technique, the PDA add-on, the robustness and long-menu
+//! experiments) runs through it.
 
 use distscroll_core::device::DistScrollDevice;
 use distscroll_core::events::{Event, TimedEvent};
@@ -140,39 +144,9 @@ impl ScrollTechnique for DistScrollTechnique {
             rng,
         );
 
-        let t0 = dev.now();
-        let tick_s = self.profile.tick_ms as f64 / 1000.0;
-        let mut t = 0.0;
-        let mut selected: Option<usize> = None;
-        while t < TRIAL_TIMEOUT_S {
-            let (pos, cmd) = aim.step(t, dev.highlighted(), rng);
-            dev.set_distance(pos);
-            match cmd {
-                UserCommand::PressSelect => dev.press_select(),
-                UserCommand::ReleaseSelect => dev.release_select(),
-                UserCommand::None => {}
-            }
-            if dev.tick().is_err() {
-                break; // brown-out mid-trial
-            }
-            dev.poll_events(&mut |ev: &TimedEvent| {
-                if let Event::Activated { path } = &ev.event {
-                    // Flat menu: the activated label is "Item NN".
-                    let idx = path
-                        .last()
-                        .and_then(|l| l.trim_start_matches("Item ").parse::<usize>().ok());
-                    selected = idx;
-                }
-            });
-            if selected.is_some() && aim.is_done() {
-                break;
-            }
-            t = (dev.now() - t0).as_secs_f64();
-            // Guard against pathological zero-advance (cannot happen, but
-            // the loop must terminate).
-            debug_assert!(tick_s > 0.0);
-        }
-
+        let (t, selected) = select_loop(&mut dev, &mut aim, TRIAL_TIMEOUT_S, rng, |dev| {
+            dev.highlighted()
+        });
         match selected {
             Some(idx) => TrialResult {
                 time_s: t,
@@ -183,6 +157,56 @@ impl ScrollTechnique for DistScrollTechnique {
             None => TrialResult::timeout(t, aim.corrections()),
         }
     }
+}
+
+/// The closed selection loop every full-stack DistScroll trial runs.
+///
+/// Each step the user reads the index `seen` shows them (the onboard
+/// panel, or a host-rendered screen), moves the hand and presses or
+/// releases select; the device then ticks. The loop ends once an entry
+/// has been activated and the user is done, on brown-out, or after
+/// `timeout_s` seconds. Returns the elapsed trial time and the last
+/// activated entry of the flat menu, if any.
+pub fn select_loop(
+    dev: &mut DistScrollDevice,
+    aim: &mut PositionAim,
+    timeout_s: f64,
+    rng: &mut StdRng,
+    mut seen: impl FnMut(&mut DistScrollDevice) -> usize,
+) -> (f64, Option<usize>) {
+    let t0 = dev.now();
+    let mut t = 0.0;
+    let mut selected = None;
+    while t < timeout_s {
+        let (pos, cmd) = aim.step(t, seen(dev), rng);
+        dev.set_distance(pos);
+        match cmd {
+            UserCommand::PressSelect => dev.press_select(),
+            UserCommand::ReleaseSelect => dev.release_select(),
+            UserCommand::None => {}
+        }
+        if dev.tick().is_err() {
+            break; // brown-out mid-trial
+        }
+        selected = poll_selected(dev).or(selected);
+        if selected.is_some() && aim.is_done() {
+            break;
+        }
+        t = (dev.now() - t0).as_secs_f64();
+    }
+    (t, selected)
+}
+
+/// Visits the device's pending events and returns the flat-menu index
+/// of the last entry activated among them, if any.
+pub fn poll_selected(dev: &mut DistScrollDevice) -> Option<usize> {
+    let mut selected = None;
+    dev.poll_events(&mut |ev: &TimedEvent| {
+        if let Event::Activated { path } = &ev.event {
+            selected = path.last().and_then(|label| Menu::flat_index(label));
+        }
+    });
+    selected
 }
 
 #[cfg(test)]

@@ -15,14 +15,14 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use distscroll_hw::board::{AdcChannel, Board, Telemetry, VoltageSource};
+use distscroll_hw::board::{AdcChannel, Board, VoltageSource};
 use distscroll_hw::clock::SimInstant;
 use distscroll_hw::display::DisplayRole;
 use distscroll_hw::sched::Scheduler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::events::{EventSink, TimedEvent};
+use crate::events::EventSink;
 use crate::firmware::Firmware;
 use crate::menu::Menu;
 use crate::profile::DeviceProfile;
@@ -526,6 +526,14 @@ impl DistScrollDevice {
     /// Visits and clears the firmware's pending interaction events, in
     /// emission order — the zero-allocation poll. Any
     /// `FnMut(&TimedEvent)` closure is a sink.
+    ///
+    /// There is no owned-`Vec` drain that would allocate on every poll:
+    ///
+    /// ```compile_fail,E0599
+    /// use distscroll_core::{device::DistScrollDevice, menu::Menu, profile::DeviceProfile};
+    /// let mut dev = DistScrollDevice::new(DeviceProfile::paper(), Menu::flat(4), 1);
+    /// let events = dev.drain_events();
+    /// ```
     pub fn poll_events<S: EventSink + ?Sized>(&mut self, sink: &mut S) {
         self.fw.poll_events(sink);
     }
@@ -543,26 +551,6 @@ impl DistScrollDevice {
     /// device telemetry; the device reads it on its next tick.
     pub fn host_send(&mut self, payload: &[u8]) {
         self.board.host_send(payload, &mut self.rng);
-    }
-
-    /// Appends the firmware's pending interaction events to `out`,
-    /// reusing the caller's buffer across polls.
-    ///
-    /// There is no owned-`Vec` drain that would allocate on every poll:
-    ///
-    /// ```compile_fail,E0599
-    /// use distscroll_core::{device::DistScrollDevice, menu::Menu, profile::DeviceProfile};
-    /// let mut dev = DistScrollDevice::new(DeviceProfile::paper(), Menu::flat(4), 1);
-    /// let events = dev.drain_events();
-    /// ```
-    pub fn drain_events_into(&mut self, out: &mut Vec<TimedEvent>) {
-        self.fw.drain_events_into(out);
-    }
-
-    /// Appends telemetry frames that have reached the host to `out`,
-    /// transferring buffer ownership to the caller.
-    pub fn drain_telemetry_into(&mut self, out: &mut Vec<Telemetry>) {
-        self.board.drain_received_into(out);
     }
 
     /// ASCII art of the upper (menu) display.
@@ -632,29 +620,6 @@ mod tests {
         };
         let codes: std::collections::BTreeSet<u16> = (0..8).map(code).collect();
         assert!(codes.len() > 1, "noise must vary across seeds");
-    }
-
-    #[test]
-    fn poll_forms_match_the_drain_into_forms() {
-        let run = |poll: bool| {
-            let mut dev = DistScrollDevice::new(DeviceProfile::paper(), Menu::flat(8), 21);
-            dev.set_distance(dev.island_center_cm(3).unwrap());
-            dev.run_for_ms(500).unwrap();
-            dev.click_select().unwrap();
-            let mut events: Vec<TimedEvent> = Vec::new();
-            let mut frames: Vec<Telemetry> = Vec::new();
-            if poll {
-                dev.poll_events(&mut |e: &TimedEvent| events.push(e.clone()));
-                dev.poll_telemetry(&mut |t: &Telemetry| frames.push(t.clone()));
-            } else {
-                dev.drain_events_into(&mut events);
-                dev.drain_telemetry_into(&mut frames);
-            }
-            (events, frames)
-        };
-        let drained = run(false);
-        assert_eq!(drained, run(true), "poll must match drain_into");
-        assert!(!drained.0.is_empty() && !drained.1.is_empty());
     }
 
     #[test]

@@ -126,12 +126,6 @@ impl EventLog {
         self.events.clear();
     }
 
-    /// Appends every pending event to `out` (in emission order),
-    /// leaving the log empty but with its buffer intact.
-    pub fn drain_into(&mut self, out: &mut Vec<TimedEvent>) {
-        out.append(&mut self.events);
-    }
-
     /// The most recent event, if any.
     pub fn last(&self) -> Option<&TimedEvent> {
         self.events.last()
@@ -170,7 +164,7 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert_eq!(log.last().unwrap().event, Event::WentBack);
         let mut drained = Vec::new();
-        log.drain_into(&mut drained);
+        log.poll(&mut |e: &TimedEvent| drained.push(e.clone()));
         assert_eq!(drained.len(), 2);
         assert!(drained[0].at < drained[1].at);
         assert!(log.is_empty());
@@ -192,21 +186,6 @@ mod tests {
         assert!(cap >= 4, "poll must keep the buffer for reuse");
         log.push(t(9), Event::PageBack);
         assert_eq!(log.events.capacity(), cap, "no reallocation after poll");
-    }
-
-    #[test]
-    fn drain_into_appends_and_empties() {
-        let mut log = EventLog::new();
-        log.push(t(1), Event::WentBack);
-        log.push(t(2), Event::PageForward);
-        let mut out = vec![TimedEvent {
-            at: t(0),
-            event: Event::BrownOut,
-        }];
-        log.drain_into(&mut out);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[1].at, t(1));
-        assert!(log.is_empty());
     }
 
     #[test]

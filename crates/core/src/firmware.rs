@@ -34,7 +34,7 @@ use distscroll_sensors::calibrate::InverseCurveFit;
 use distscroll_sensors::filter::{Debouncer, Ema};
 use rand::Rng;
 
-use crate::events::{Event, EventLog, EventSink, TimedEvent};
+use crate::events::{Event, EventLog, EventSink};
 use crate::long_menu::{LongMenuAction, LongMenuController, LongMenuStrategy};
 use crate::mapping::{paper_curve, IslandHit, IslandMap, MappingState};
 use crate::menu::{Menu, Navigator, Selection};
@@ -257,12 +257,6 @@ impl Firmware {
     /// zero-allocation drain.
     pub fn poll_events<S: EventSink + ?Sized>(&mut self, sink: &mut S) {
         self.log.poll(sink);
-    }
-
-    /// Appends the pending interaction events to `out`, reusing the
-    /// caller's buffer.
-    pub fn drain_events_into(&mut self, out: &mut Vec<TimedEvent>) {
-        self.log.drain_into(out);
     }
 
     /// Telemetry records produced since boot (state snapshots plus
@@ -810,7 +804,7 @@ mod tests {
     use super::*;
 
     use crate::phone_menu::phone_menu;
-    use distscroll_hw::board::VoltageSource;
+    use distscroll_hw::board::{Telemetry, VoltageSource};
     use distscroll_hw::clock::SimInstant;
     use distscroll_sensors::environment::Scene;
     use distscroll_sensors::gp2d120::Gp2d120;
@@ -1056,7 +1050,8 @@ mod tests {
         let mut r = rig();
         r.hold_at(12.0, 800);
         let mut frames = Vec::new();
-        r.board.drain_received_into(&mut frames);
+        r.board
+            .poll_received(&mut |t: &Telemetry| frames.push(t.clone()));
         assert!(!frames.is_empty(), "telemetry must flow");
         let mut dec = distscroll_hw::link::FrameDecoder::new();
         let mut payloads = Vec::new();

@@ -108,6 +108,12 @@ impl Menu {
         ))
     }
 
+    /// The entry index behind a [`Menu::flat`] label (`"Item 07"` → 7);
+    /// `None` for any other label.
+    pub fn flat_index(label: &str) -> Option<usize> {
+        label.strip_prefix("Item ")?.parse().ok()
+    }
+
     /// The root node.
     pub fn root(&self) -> &MenuNode {
         &self.root
@@ -266,6 +272,17 @@ impl Navigator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flat_index_inverts_flat_labels() {
+        for n in [1, 12, 200] {
+            let menu = Menu::flat(n);
+            for (i, leaf) in menu.root().children().iter().enumerate() {
+                assert_eq!(Menu::flat_index(leaf.label()), Some(i), "n = {n}");
+            }
+        }
+        assert_eq!(Menu::flat_index("Back"), None);
+    }
 
     fn small_menu() -> Menu {
         Menu::new(MenuNode::submenu(

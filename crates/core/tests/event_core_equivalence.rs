@@ -26,8 +26,8 @@ fn twin(profile: DeviceProfile, seed: u64) -> DistScrollDevice {
 /// frames that reached the host.
 fn drained(dev: &mut DistScrollDevice) -> (Vec<TimedEvent>, Vec<Telemetry>) {
     let (mut events, mut frames) = (Vec::new(), Vec::new());
-    dev.drain_events_into(&mut events);
-    dev.drain_telemetry_into(&mut frames);
+    dev.poll_events(&mut |e: &TimedEvent| events.push(e.clone()));
+    dev.poll_telemetry(&mut |t: &Telemetry| frames.push(t.clone()));
     (events, frames)
 }
 
@@ -94,16 +94,9 @@ fn assert_lockstep(profile: DeviceProfile, seed: u64, ticks_per_phase: u64) {
         );
     }
 
-    let mut a = Vec::new();
-    let mut b = Vec::new();
-    event.drain_events_into(&mut a);
-    compat.drain_events_into(&mut b);
+    let (a, ta) = drained(&mut event);
+    let (b, tb) = drained(&mut compat);
     assert_eq!(a, b, "event logs diverged");
-
-    let mut ta = Vec::new();
-    let mut tb = Vec::new();
-    event.drain_telemetry_into(&mut ta);
-    compat.drain_telemetry_into(&mut tb);
     assert!(!ta.is_empty(), "the script must produce telemetry");
     assert_eq!(ta, tb, "telemetry frames diverged");
 }
@@ -182,10 +175,8 @@ fn run_for_ms_matches_tick_compat_over_a_long_span() {
         compat.board().battery_soc().to_bits(),
         "battery SOC diverged between run_for_ms and tick_compat"
     );
-    let mut ta = Vec::new();
-    let mut tb = Vec::new();
-    by_ms.drain_telemetry_into(&mut ta);
-    compat.drain_telemetry_into(&mut tb);
+    let (_, ta) = drained(&mut by_ms);
+    let (_, tb) = drained(&mut compat);
     assert!(!ta.is_empty(), "a 200 s run must produce telemetry");
     assert_eq!(ta, tb, "telemetry frames diverged");
 }

@@ -66,7 +66,7 @@ fn segmented_device_selects_entries() {
     dev.click_select().expect("healthy device");
     settle(&mut dev, 5);
     let mut events: Vec<TimedEvent> = Vec::new();
-    dev.drain_events_into(&mut events);
+    dev.poll_events(&mut |e: &TimedEvent| events.push(e.clone()));
     assert!(
         events
             .iter()
@@ -97,7 +97,7 @@ fn segmented_closed_loop_is_deterministic() {
                 trace.push(dev.highlighted());
             }
         }
-        dev.drain_events_into(&mut events);
+        dev.poll_events(&mut |e: &TimedEvent| events.push(e.clone()));
         (trace, events)
     };
     assert_eq!(run(), run(), "same seed, same script, same record");

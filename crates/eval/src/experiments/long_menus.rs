@@ -13,8 +13,9 @@
 //! * **sdaz** — displacement-to-velocity rate control around the range
 //!   centre.
 
+use distscroll_baselines::distscroll::{poll_selected, select_loop};
 use distscroll_core::device::DistScrollDevice;
-use distscroll_core::events::{Event, TimedEvent};
+use distscroll_core::events::TimedEvent;
 use distscroll_core::long_menu::LongMenuStrategy;
 use distscroll_core::menu::Menu;
 use distscroll_core::profile::DeviceProfile;
@@ -45,18 +46,6 @@ pub struct LongTrial {
     pub correct: bool,
     /// Whether the trial timed out with no selection.
     pub timed_out: bool,
-}
-
-fn drain_selected(dev: &mut DistScrollDevice) -> Option<usize> {
-    let mut selected = None;
-    dev.poll_events(&mut |ev: &TimedEvent| {
-        if let Event::Activated { path } = &ev.event {
-            selected = path
-                .last()
-                .and_then(|l| l.trim_start_matches("Item ").parse().ok());
-        }
-    });
-    selected
 }
 
 /// Runs one trial with the continuous strategy: plain positional aiming
@@ -91,30 +80,11 @@ pub fn run_continuous_trial(
     }
     dev.poll_events(&mut |_: &TimedEvent| {});
     let mut aim = PositionAim::new(*user, geometry, target, start_cm, 100, &mut rng);
-    let t0 = dev.now();
-    let mut t = 0.0;
-    let mut selected = None;
-    while t < TIMEOUT_S {
-        let (pos, cmd) = aim.step(t, dev.highlighted(), &mut rng);
-        dev.set_distance(pos);
-        match cmd {
-            UserCommand::PressSelect => dev.press_select(),
-            UserCommand::ReleaseSelect => dev.release_select(),
-            UserCommand::None => {}
-        }
-        if dev.tick().is_err() {
-            break;
-        }
-        if let Some(idx) = drain_selected(&mut dev) {
-            selected = Some(idx);
-        }
-        if selected.is_some() && aim.is_done() {
-            break;
-        }
-        t = (dev.now() - t0).as_secs_f64();
-    }
+    let (time_s, selected) = select_loop(&mut dev, &mut aim, TIMEOUT_S, &mut rng, |dev| {
+        dev.highlighted()
+    });
     LongTrial {
-        time_s: t,
+        time_s,
         correct: selected == Some(target),
         timed_out: selected.is_none(),
     }
@@ -235,9 +205,7 @@ pub fn run_chunked_trial(
         if dev.tick().is_err() {
             break;
         }
-        if let Some(idx) = drain_selected(&mut dev) {
-            selected = Some(idx);
-        }
+        selected = poll_selected(&mut dev).or(selected);
         if selected.is_some() && aim.is_done() {
             break;
         }
@@ -338,7 +306,7 @@ pub fn run_sdaz_trial(
         if dev.tick().is_err() {
             break;
         }
-        if let Some(idx) = drain_selected(&mut dev) {
+        if let Some(idx) = poll_selected(&mut dev) {
             selected = Some(idx);
             break;
         }

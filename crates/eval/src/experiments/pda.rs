@@ -17,15 +17,18 @@
 //!
 //! [`PdaScreen`]: distscroll_host::pda::PdaScreen
 
+use distscroll_baselines::distscroll::{select_loop, DistScrollTechnique};
+use distscroll_baselines::technique::TRIAL_TIMEOUT_S;
+use distscroll_baselines::{ScrollTechnique, TrialSetup};
 use distscroll_core::device::DistScrollDevice;
-use distscroll_core::events::{Event, TimedEvent};
+use distscroll_core::events::TimedEvent;
 use distscroll_core::menu::Menu;
 use distscroll_core::profile::DeviceProfile;
 use distscroll_host::pda::PdaScreen;
 use distscroll_host::telemetry::StreamDecoder;
 use distscroll_hw::board::Telemetry;
 use distscroll_user::population::UserParams;
-use distscroll_user::strategy::{DeviceGeometry, PositionAim, UserCommand};
+use distscroll_user::strategy::{DeviceGeometry, PositionAim};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,8 +48,6 @@ pub fn run_pda_trial(
     let mut rng = StdRng::seed_from_u64(seed);
     let profile = DeviceProfile::pda_addon();
     let mut dev = DistScrollDevice::new(profile.clone(), Menu::flat(n), rng.gen());
-    let mut decoder = StreamDecoder::new();
-    let mut screen = PdaScreen::new();
 
     let geometry = DeviceGeometry {
         near_cm: profile.near_cm,
@@ -59,96 +60,19 @@ pub fn run_pda_trial(
     if dev.run_for_ms(500).is_err() {
         return (0.0, false);
     }
-    dev.poll_telemetry(&mut |t: &Telemetry| {
-        screen.ingest_all(decoder.push_bytes(&t.bytes).iter());
-    });
     dev.poll_events(&mut |_: &TimedEvent| {});
 
     let mut aim = PositionAim::new(*user, geometry, target, start_cm, 100, &mut rng);
-    let t0 = dev.now();
-    let mut t = 0.0;
-    let mut selected: Option<usize> = None;
-    while t < 30.0 {
-        // The user sees the PDA screen, not the (absent) onboard panels.
-        let (pos, cmd) = aim.step(t, screen.highlighted().min(n - 1), &mut rng);
-        dev.set_distance(pos);
-        match cmd {
-            UserCommand::PressSelect => dev.press_select(),
-            UserCommand::ReleaseSelect => dev.release_select(),
-            UserCommand::None => {}
-        }
-        if dev.tick().is_err() {
-            break;
-        }
-        // Telemetry arrives at the PDA with real channel latency.
+    let mut decoder = StreamDecoder::new();
+    let mut screen = PdaScreen::new();
+    // The user sees the PDA screen, not the (absent) onboard panels;
+    // telemetry reaches it with real channel latency.
+    let (t, selected) = select_loop(&mut dev, &mut aim, TRIAL_TIMEOUT_S, &mut rng, |dev| {
         dev.poll_telemetry(&mut |frame: &Telemetry| {
             screen.ingest_all(decoder.push_bytes(&frame.bytes).iter());
         });
-        dev.poll_events(&mut |ev: &TimedEvent| {
-            if let Event::Activated { path } = &ev.event {
-                selected = path
-                    .last()
-                    .and_then(|l| l.trim_start_matches("Item ").parse().ok());
-            }
-        });
-        if selected.is_some() && aim.is_done() {
-            break;
-        }
-        t = (dev.now() - t0).as_secs_f64();
-    }
-    (t, selected == Some(target))
-}
-
-/// One selection trial on the self-contained prototype (onboard panels).
-pub fn run_onboard_trial(
-    n: usize,
-    start: usize,
-    target: usize,
-    user: &UserParams,
-    seed: u64,
-) -> (f64, bool) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let profile = DeviceProfile::paper();
-    let mut dev = DistScrollDevice::new(profile.clone(), Menu::flat(n), rng.gen());
-    let geometry = DeviceGeometry {
-        near_cm: profile.near_cm,
-        far_cm: profile.far_cm,
-        n_entries: n,
-        toward_is_down: true,
-    };
-    let start_cm = dev.island_center_cm(start).unwrap_or(17.0);
-    dev.set_distance(start_cm);
-    if dev.run_for_ms(500).is_err() {
-        return (0.0, false);
-    }
-    dev.poll_events(&mut |_: &TimedEvent| {});
-    let mut aim = PositionAim::new(*user, geometry, target, start_cm, 100, &mut rng);
-    let t0 = dev.now();
-    let mut t = 0.0;
-    let mut selected: Option<usize> = None;
-    while t < 30.0 {
-        let (pos, cmd) = aim.step(t, dev.highlighted(), &mut rng);
-        dev.set_distance(pos);
-        match cmd {
-            UserCommand::PressSelect => dev.press_select(),
-            UserCommand::ReleaseSelect => dev.release_select(),
-            UserCommand::None => {}
-        }
-        if dev.tick().is_err() {
-            break;
-        }
-        dev.poll_events(&mut |ev: &TimedEvent| {
-            if let Event::Activated { path } = &ev.event {
-                selected = path
-                    .last()
-                    .and_then(|l| l.trim_start_matches("Item ").parse().ok());
-            }
-        });
-        if selected.is_some() && aim.is_done() {
-            break;
-        }
-        t = (dev.now() - t0).as_secs_f64();
-    }
+        screen.highlighted().min(n - 1)
+    });
     (t, selected == Some(target))
 }
 
@@ -179,9 +103,13 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
         let start = rng.gen_range(0..n);
         let target = (start + rng.gen_range(2..n - 1)) % n;
         let s = seed ^ (k as u64) << 6;
-        let (t, ok) = run_onboard_trial(n, start, target, &user, s);
-        if ok {
-            onboard_times.push(t);
+        let onboard = DistScrollTechnique::paper().run_trial(
+            &user,
+            &TrialSetup::new(n, start, target, 100),
+            &mut StdRng::seed_from_u64(s),
+        );
+        if onboard.correct {
+            onboard_times.push(onboard.time_s);
             onboard_ok += 1;
         }
         let (t, ok) = run_pda_trial(n, start, target, &user, s);

@@ -13,15 +13,16 @@
 //! * **interaction errors** — full-stack selection trials under the
 //!   condition.
 
+use distscroll_baselines::distscroll::select_loop;
 use distscroll_core::device::DistScrollDevice;
-use distscroll_core::events::{Event, TimedEvent};
+use distscroll_core::events::TimedEvent;
 use distscroll_core::menu::Menu;
 use distscroll_core::profile::DeviceProfile;
 use distscroll_sensors::calibrate::fit_inverse_curve;
 use distscroll_sensors::environment::{AmbientLight, Scene, Surface};
 use distscroll_sensors::gp2d120::{self, Gp2d120};
 use distscroll_user::population::UserParams;
-use distscroll_user::strategy::{DeviceGeometry, PositionAim, UserCommand};
+use distscroll_user::strategy::{DeviceGeometry, PositionAim};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -89,31 +90,8 @@ pub fn error_rate_under(surface: Surface, ambient: AmbientLight, trials: usize, 
         }
         dev.poll_events(&mut |_: &TimedEvent| {});
         let mut aim = PositionAim::new(user, geometry, target, start_cm, 100, &mut rng);
-        let t0 = dev.now();
-        let mut selected = None;
-        while (dev.now() - t0).as_secs_f64() < 20.0 {
-            let t = (dev.now() - t0).as_secs_f64();
-            let (pos, cmd) = aim.step(t, dev.highlighted(), &mut rng);
-            dev.set_distance(pos);
-            match cmd {
-                UserCommand::PressSelect => dev.press_select(),
-                UserCommand::ReleaseSelect => dev.release_select(),
-                UserCommand::None => {}
-            }
-            if dev.tick().is_err() {
-                break;
-            }
-            dev.poll_events(&mut |ev: &TimedEvent| {
-                if let Event::Activated { path } = &ev.event {
-                    selected = path
-                        .last()
-                        .and_then(|l| l.trim_start_matches("Item ").parse().ok());
-                }
-            });
-            if selected.is_some() && aim.is_done() {
-                break;
-            }
-        }
+        let (_, selected) =
+            select_loop(&mut dev, &mut aim, 20.0, &mut rng, |dev| dev.highlighted());
         if selected != Some(target) {
             errors += 1;
         }

@@ -409,8 +409,7 @@ impl Board {
     /// Queues a telemetry payload for the host over the radio.
     ///
     /// The frame may be dropped or corrupted by the channel model;
-    /// arrivals are visited with [`Board::poll_received`] (or collected
-    /// with [`Board::drain_received_into`]). Wire-frame buffers are
+    /// arrivals are visited with [`Board::poll_received`]. Wire-frame buffers are
     /// recycled from previous polls, so steady-state traffic allocates
     /// nothing once capacities have warmed up.
     pub fn send_telemetry<R: Rng + ?Sized>(&mut self, payload: &[u8], rng: &mut R) {
@@ -456,13 +455,6 @@ impl Board {
             t.bytes.clear();
             self.spare.push(t.bytes);
         }
-    }
-
-    /// Appends every frame that has arrived at the host by now to `out`,
-    /// in arrival order, transferring buffer ownership to the caller.
-    pub fn drain_received_into(&mut self, out: &mut Vec<Telemetry>) {
-        self.collect_arrived();
-        out.append(&mut self.arrived);
     }
 
     /// Frames handed to the radio since boot.
@@ -673,10 +665,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         board.send_telemetry(b"adc=512", &mut rng);
         let mut got = Vec::new();
-        board.drain_received_into(&mut got);
+        board.poll_received(&mut |t: &Telemetry| got.push(t.clone()));
         assert!(got.is_empty(), "nothing arrives instantly");
         board.step(SimDuration::from_millis(50));
-        board.drain_received_into(&mut got);
+        board.poll_received(&mut |t: &Telemetry| got.push(t.clone()));
         assert_eq!(got.len(), 1);
         let mut dec = crate::link::FrameDecoder::new();
         let frames = dec.push_all(&got[0].bytes);
@@ -700,26 +692,6 @@ mod tests {
         assert_eq!(board.spare.len(), 2);
         board.send_telemetry(b"third", &mut rng);
         assert_eq!(board.spare.len(), 1, "send reuses a recycled buffer");
-    }
-
-    #[test]
-    fn drain_received_into_matches_poll_received() {
-        let make = || {
-            let mut board = Board::new();
-            let mut rng = StdRng::seed_from_u64(7);
-            for i in 0..5u8 {
-                board.send_telemetry(&[i; 4], &mut rng);
-                board.step(SimDuration::from_millis(3));
-            }
-            board.step(SimDuration::from_millis(40));
-            board
-        };
-        let mut polled = Vec::new();
-        make().poll_received(&mut |t: &Telemetry| polled.push(t.clone()));
-        let mut into = Vec::new();
-        make().drain_received_into(&mut into);
-        assert_eq!(polled, into);
-        assert!(!polled.is_empty());
     }
 
     #[test]

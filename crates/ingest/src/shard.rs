@@ -29,8 +29,11 @@ pub struct ShardStats {
     pub batches_in: u64,
     /// Radio bytes accepted into the queue.
     pub bytes_in: u64,
-    /// Link-layer frames that completed decode (records + malformed +
-    /// CRC failures).
+    /// Frames booked at record level: `records + records_bad +
+    /// crc_failures`. Data frames the ARQ receiver discards are not
+    /// counted: duplicates appear in `link.duplicates`, beyond-window
+    /// frames in `link.out_of_order`, and frames still parked when a
+    /// session closes nowhere.
     pub frames_in: u64,
     /// Records parsed successfully, across live and evicted sessions.
     pub records: u64,

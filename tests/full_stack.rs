@@ -12,6 +12,7 @@ use distscroll::core::device::DistScrollDevice;
 use distscroll::core::events::{Event, TimedEvent};
 use distscroll::core::phone_menu::{phone_menu, RINGING_TONE_PATH};
 use distscroll::core::profile::DeviceProfile;
+use distscroll::hw::board::Telemetry;
 use distscroll::user::population::UserParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,7 +60,7 @@ fn telemetry_stream_decodes_on_the_host_side() {
     dev.set_distance(12.0);
     dev.run_for_ms(2_000).expect("battery is fresh");
     let mut frames = Vec::new();
-    dev.drain_telemetry_into(&mut frames);
+    dev.poll_telemetry(&mut |t: &Telemetry| frames.push(t.clone()));
     assert!(
         frames.len() > 10,
         "telemetry flows: {} frames",
