@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 use distscroll_host::telemetry::StreamDecoder;
 use distscroll_hw::arq::{decode_ack, decode_data, ArqClass, ArqRx, ArqTx, Seq16};
 use distscroll_hw::link::{
-    crc16_ccitt, encode_frame, AdversarialChannel, FrameDecoder, GilbertElliott, SYNC1, SYNC2,
+    encode_frame, AdversarialChannel, FrameDecoder, GilbertElliott, SYNC1, SYNC2,
 };
 
 use crate::corpus::{fnv1a, fnv1a_fold};
@@ -61,6 +61,23 @@ struct RefModel {
     pending: u64,
 }
 
+/// CRC-16/CCITT-FALSE a bit at a time, written from the definition so
+/// that the differential checks the decoder's table-driven CRC too.
+fn reference_crc(bytes: &[u8]) -> u16 {
+    let mut crc = 0xffff_u16;
+    for &b in bytes {
+        crc ^= u16::from(b) << 8;
+        for _ in 0..8 {
+            crc = if crc & 0x8000 != 0 {
+                (crc << 1) ^ 0x1021
+            } else {
+                crc << 1
+            };
+        }
+    }
+    crc
+}
+
 /// Reference decode: a straightforward offline scan with none of the
 /// streaming decoder's state-machine complexity. On a CRC failure it
 /// advances past the sync pair only and re-scans — the specified resync
@@ -93,7 +110,7 @@ fn reference_decode(input: &[u8]) -> RefModel {
             break; // partial frame attempt pending
         }
         let wire_crc = u16::from(input[end - 2]) << 8 | u16::from(input[end - 1]);
-        if crc16_ccitt(&input[i + 2..i + 3 + len]) == wire_crc {
+        if reference_crc(&input[i + 2..i + 3 + len]) == wire_crc {
             m.payloads.push(input[i + 3..i + 3 + len].to_vec());
             i = end;
         } else {

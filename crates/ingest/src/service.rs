@@ -47,10 +47,7 @@ impl IngestService {
     /// (the shed is also counted in that shard's stats).
     pub fn offer(&mut self, device: u64, bytes: &[u8]) -> bool {
         let idx = shard_of(device, self.shards.len());
-        let Some(shard) = self.shards.get_mut(idx) else {
-            return false; // unreachable: idx < len by construction
-        };
-        shard.enqueue(device, bytes, self.high_water)
+        self.shards[idx].enqueue(device, bytes, self.high_water)
     }
 
     /// Drains every shard's queue, fanning the shards out over up to

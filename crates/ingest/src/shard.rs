@@ -7,7 +7,7 @@
 //! fleet ledger test (`tests/fleet_ledger.rs`) checks that every
 //! offered byte and frame reaches these books.
 
-use std::collections::BTreeMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 use distscroll_host::telemetry::{Record, StreamDecoder};
@@ -98,6 +98,43 @@ struct Session {
     next: Option<usize>,
 }
 
+/// Device id → slot of its live session. Lookup, insert and remove in
+/// O(1); nothing iterates it, so its order never reaches a counter.
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup, insert and remove only: the index is never iterated, so no report sees its order"
+)]
+type DeviceIndex = std::collections::HashMap<u64, usize, BuildHasherDefault<DeviceHasher>>;
+
+/// A fixed, seedless hash of a device id: the splitmix64 finalizer.
+///
+/// The low bits of its output depend on every bit of the id. That
+/// matters here: every device on a shard has the same `id % shards`, so
+/// a bare multiply would crowd a shard's ids into one slice of the
+/// table. The ids come from the caller of `offer`, never from wire
+/// bytes, so a seed buys no protection the map needs.
+#[derive(Default)]
+struct DeviceHasher(u64);
+
+impl Hasher for DeviceHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 ^= id;
+    }
+
+    fn finish(&self) -> u64 {
+        let z = self.0;
+        let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
 /// One shard: exclusive owner of the sessions its devices hash to.
 ///
 /// All mutation happens through [`Shard::enqueue`] (producer side) and
@@ -107,10 +144,9 @@ struct Session {
 /// `--jobs`.
 #[derive(Debug)]
 pub(crate) struct Shard {
-    /// Device id → slot of its live session.
-    index: BTreeMap<u64, usize>,
-    /// Session slots; the slot an eviction frees goes to the session
-    /// whose opening forced it.
+    index: DeviceIndex,
+    /// Session slots, every one live: the slot an eviction frees goes
+    /// straight to the session whose opening forced it.
     slots: Vec<Session>,
     /// Least and most recently touched live slots: the ends of a list
     /// ordered by last touch, so eviction pops the head in O(1).
@@ -126,7 +162,7 @@ pub(crate) struct Shard {
 impl Shard {
     pub(crate) fn new(capacity: usize) -> Self {
         Shard {
-            index: BTreeMap::new(),
+            index: DeviceIndex::default(),
             slots: Vec::new(),
             lru: None,
             mru: None,
@@ -269,8 +305,8 @@ impl Shard {
     /// (without counting them as evictions) and returns the final
     /// stats. The shard is drained afterwards.
     pub(crate) fn finish(&mut self) -> ShardStats {
-        for &slot in self.index.values() {
-            Self::fold_decoder(&mut self.stats, &self.slots[slot].decoder);
+        for session in &self.slots {
+            Self::fold_decoder(&mut self.stats, &session.decoder);
         }
         self.index.clear();
         self.slots.clear();
@@ -295,6 +331,7 @@ mod tests {
     use super::*;
     use distscroll_hw::arq::{ArqClass, ArqTx};
     use distscroll_hw::link::encode_frame;
+    use std::collections::BTreeMap;
 
     /// A clean in-order ARQ byte stream carrying `n` event records,
     /// continuing an existing transmitter.
@@ -379,10 +416,12 @@ mod tests {
         order
     }
 
-    #[test]
-    fn recency_list_evicts_like_the_min_touch_scan() {
+    /// Drives a shard of capacity 4 through a skewed random schedule
+    /// over `ids` and checks it against a min-touch-scan model after
+    /// every batch: each id finds its own session, eviction picks the
+    /// model's victim, and every record is folded exactly once.
+    fn evicts_like_the_min_touch_scan(ids: &[u64; 11]) {
         const CAPACITY: usize = 4;
-        const DEVICES: u64 = 11;
         let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
         let mut next_random = move || {
             rng ^= rng << 13;
@@ -391,7 +430,7 @@ mod tests {
             rng
         };
         let mut shard = Shard::new(CAPACITY);
-        let mut seqs = [0u16; DEVICES as usize];
+        let mut seqs = [0u16; 11];
         // The reference: last touch and records delivered since open, per
         // live device; the victim is the `(last_touch, device)` minimum.
         let mut model: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
@@ -400,11 +439,12 @@ mod tests {
             // Skewed towards a few hot devices, so sessions both stay
             // warm and go cold.
             let r = next_random();
-            let device = if r % 3 == 0 {
+            let pick = if r % 3 == 0 {
                 (r >> 8) % 3
             } else {
-                r % DEVICES
-            };
+                r % ids.len() as u64
+            } as usize;
+            let device = ids[pick];
             let n = (next_random() % 3 + 1) as u8;
             let expected_victim = if model.contains_key(&device) {
                 None
@@ -423,8 +463,8 @@ mod tests {
             *entry = (touch, entry.1 + u64::from(n));
             sent += u64::from(n);
 
-            let before: Vec<u64> = shard.index.keys().copied().collect();
-            let bytes = data_frames(&mut seqs[device as usize], n);
+            let before = recency_order(&shard);
+            let bytes = data_frames(&mut seqs[pick], n);
             assert!(shard.enqueue(device, &bytes, usize::MAX));
             shard.process_queue();
             let victim = before.into_iter().find(|d| !shard.index.contains_key(d));
@@ -438,12 +478,14 @@ mod tests {
             // exactly the records sent since this device's session opened.
             for (&d, &(_, records)) in &model {
                 let slot = shard.index[&d];
+                assert_eq!(shard.slots[slot].device, d, "device {d}");
                 assert_eq!(
                     shard.slots[slot].decoder.records_ok(),
                     records,
                     "device {d}"
                 );
             }
+            assert_eq!(shard.live_sessions(), model.len(), "touch {touch}");
             assert!(shard.slots.len() <= CAPACITY, "slots are reused");
         }
         assert!(evictions > 100, "the schedule must churn: {evictions}");
@@ -456,5 +498,34 @@ mod tests {
         assert_eq!(stats.link.delivered, sent);
         assert_eq!(stats.frames_in, sent);
         assert_eq!(shard.live_sessions(), 0);
+    }
+
+    #[test]
+    fn recency_list_evicts_like_the_min_touch_scan() {
+        evicts_like_the_min_touch_scan(&std::array::from_fn(|k| k as u64));
+    }
+
+    #[test]
+    fn sparse_ids_evict_like_the_min_touch_scan() {
+        // One shard's ids all share a residue: here, 5 mod 8.
+        evicts_like_the_min_touch_scan(&std::array::from_fn(|k| 8 * k as u64 * 1_000_003 + 5));
+        // The extremes of the id space.
+        evicts_like_the_min_touch_scan(&[
+            0,
+            u64::MAX,
+            1,
+            u64::MAX - 1,
+            1 << 63,
+            (1 << 63) - 1,
+            1 << 32,
+            u64::from(u32::MAX),
+            2,
+            u64::MAX - 2,
+            0x5555_5555_5555_5555,
+        ]);
+        // Ids that differ only above bit 32.
+        evicts_like_the_min_touch_scan(&std::array::from_fn(|k| {
+            (k as u64 + 1) << 33 | 0x8765_4321
+        }));
     }
 }

@@ -31,6 +31,17 @@ pub fn in_order(seq: Seq16, front: Seq16, stamp: Stamp16, last: Stamp16) -> Opti
     (seq.newer_or_equal(front) && stamp.newer_or_equal(last)).then(|| stamp.distance_from(last))
 }
 
+// A hash map that is looked up and never iterated has no order to leak.
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup, insert and remove only: never iterated"
+)]
+pub type SlotIndex = std::collections::HashMap<u64, usize>;
+
+pub fn slot_of(index: &SlotIndex, device: u64) -> Option<usize> {
+    index.get(&device).copied()
+}
+
 // Tests may unwrap, expect and panic: a failing test is a panic.
 #[cfg(test)]
 mod tests {
