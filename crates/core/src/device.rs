@@ -18,7 +18,6 @@ use std::rc::Rc;
 use distscroll_hw::board::{AdcChannel, Board, VoltageSource};
 use distscroll_hw::clock::SimInstant;
 use distscroll_hw::display::DisplayRole;
-use distscroll_hw::sched::Scheduler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -85,20 +84,6 @@ impl VoltageSource for AccelChannel {
     }
 }
 
-/// Wakeup vocabulary of the device-level event loop. The firmware
-/// interaction tick is currently the only top-level deadline — every
-/// per-tick component (ADC noise draw, sensor refresh, debounce,
-/// telemetry cadence, ARQ service) is RNG-pinned to the tick grid, so
-/// firing anything *between* ticks would change the draw order and break
-/// byte-identical results (see DESIGN.md, "The event core"). The enum is
-/// the registration point a genuinely free-running component would add
-/// its variant to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DeviceTask {
-    /// One firmware interaction tick plus the board's power/clock step.
-    FirmwareTick,
-}
-
 /// The fully-assembled simulated prototype.
 pub struct DistScrollDevice {
     board: Board,
@@ -106,10 +91,6 @@ pub struct DistScrollDevice {
     scene: Rc<RefCell<Scene>>,
     pose: Rc<RefCell<Pose>>,
     rng: StdRng,
-    /// The discrete-event queue driving the device: each dispatched task
-    /// re-registers its next deadline, and [`DistScrollDevice::run_until`]
-    /// jumps from deadline to deadline.
-    sched: Scheduler<DeviceTask>,
 }
 
 impl std::fmt::Debug for DistScrollDevice {
@@ -205,17 +186,12 @@ impl DistScrollDevice {
         );
         let fw = Firmware::new(profile, menu)?;
         board.mcu.memory.reserve("firmware state", fw.ram_bytes());
-        let mut sched = Scheduler::new();
-        // The first interaction tick is due at boot; every dispatch
-        // re-registers the next one at `now + tick_period`.
-        sched.schedule_at(board.now(), DeviceTask::FirmwareTick);
         Ok(DistScrollDevice {
             board,
             fw,
             scene,
             pose,
             rng: StdRng::seed_from_u64(seed),
-            sched,
         })
     }
 
@@ -290,90 +266,40 @@ impl DistScrollDevice {
         self.board.release_button(self.fw.profile().back_button());
     }
 
-    /// Dispatches one scheduled task and re-registers its next deadline.
+    /// Runs one firmware tick, then advances time by the tick period.
     /// This is the *sanctioned stepping site*: the only place outside
     /// `crates/hw` where simulated time advances (`clippy.toml` disallows
     /// `Board::step` everywhere else).
     ///
-    /// On a hardware fault the tick is re-armed at the current instant
-    /// (no time passes), so a caller that retries observes exactly what
-    /// repeated direct `Firmware::tick` calls used to.
-    fn dispatch(&mut self, task: DeviceTask, recount_display_load: bool) -> Result<(), CoreError> {
-        match task {
-            DeviceTask::FirmwareTick => match self.fw.tick(&mut self.board, &mut self.rng) {
-                Ok(()) => {
-                    if recount_display_load {
-                        #[expect(
-                            clippy::disallowed_methods,
-                            reason = "legacy-cost baseline inside the sanctioned dispatch site"
-                        )]
-                        self.board.step_recount(self.fw.tick_period());
-                    } else {
-                        #[expect(
-                            clippy::disallowed_methods,
-                            reason = "the event-core dispatch is the sanctioned stepping site"
-                        )]
-                        self.board.step(self.fw.tick_period());
-                    }
-                    self.sched
-                        .schedule_at(self.board.now(), DeviceTask::FirmwareTick);
-                    Ok(())
-                }
-                Err(e) => {
-                    self.sched
-                        .schedule_at(self.board.now(), DeviceTask::FirmwareTick);
-                    Err(e)
-                }
-            },
-        }
-    }
-
-    /// Runs one firmware tick and advances time by the tick period, by
-    /// dispatching the next deadline off the event queue.
+    /// Every per-tick component (ADC noise draw, sensor refresh,
+    /// debounce, telemetry cadence, ARQ service) is pinned to the tick
+    /// grid, so nothing runs between ticks (DESIGN.md §8).
     ///
     /// # Errors
     ///
-    /// [`CoreError::Hw`] on hardware faults (e.g. brown-out).
+    /// [`CoreError::Hw`] on hardware faults (e.g. brown-out). No time
+    /// passes on a fault, so a caller that retries ticks at the same
+    /// instant.
     pub fn tick(&mut self) -> Result<(), CoreError> {
-        match self.sched.pop_next() {
-            Some((_, task, _)) => self.dispatch(task, false),
-            // Unreachable: the firmware tick always re-arms itself.
-            None => Ok(()),
-        }
+        self.fw.tick(&mut self.board, &mut self.rng)?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the device tick is the sanctioned stepping site"
+        )]
+        self.board.step(self.fw.tick_period());
+        Ok(())
     }
 
-    /// [`DistScrollDevice::tick`] at the pre-event-core per-tick cost:
-    /// identical firmware work and byte-identical results (held to that
-    /// by the equivalence tests), but the board's power step re-scans
-    /// both display text buffers through the font table, as every tick
-    /// paid before the scheduler landed. This is the reference the
-    /// event-core equivalence tests hold `run_for_ms` to.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Hw`] on hardware faults (e.g. brown-out).
-    pub fn tick_compat(&mut self) -> Result<(), CoreError> {
-        match self.sched.pop_next() {
-            Some((_, task, _)) => self.dispatch(task, true),
-            None => Ok(()),
-        }
-    }
-
-    /// Jump-to-deadline driver: dispatches every scheduled task due
-    /// strictly before `target`, in deadline order (ties in registration
-    /// order), leaving the clock at the last dispatched deadline plus its
-    /// tick. The eval runner and the bench drive the simulation through
-    /// this entry point.
+    /// Ticks until the clock reaches `target`, leaving it at the first
+    /// tick boundary at or after `target`. The eval runner and the bench
+    /// drive the simulation through this entry point.
     ///
     /// # Errors
     ///
     /// [`CoreError::Hw`] on hardware faults.
     pub fn run_until(&mut self, target: SimInstant) -> Result<(), CoreError> {
-        while self.sched.next_deadline().is_some_and(|due| due < target) {
-            let Some((_, task, _)) = self.sched.pop_next() else {
-                break;
-            };
-            self.dispatch(task, false)?;
+        while self.board.now() < target {
+            self.tick()?;
         }
         Ok(())
     }

@@ -85,22 +85,6 @@ fn build_recognizer(profile: &DeviceProfile, curve: &InverseCurveFit) -> AnyReco
     }
 }
 
-/// Snapshot of the firmware's pending wakeup deadlines, in ticks since
-/// boot — what the firmware registers with the event core. Each value is
-/// the exact tick the corresponding periodic task next runs; between two
-/// deadlines the task performs no work and draws no randomness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FirmwareDeadlines {
-    /// Next tick the lower display is re-rendered (not meaningful for
-    /// host-rendered profiles, which keep their panels off).
-    pub lower_redraw_tick: u64,
-    /// Next tick a periodic state record is emitted.
-    pub state_record_tick: u64,
-    /// Next tick the ARQ transport wants service (first transmission,
-    /// retransmission or expiry), `None` when nothing is in flight.
-    pub arq_service_tick: Option<u64>,
-}
-
 /// The firmware image: all state the program keeps in the PIC's RAM.
 #[derive(Debug)]
 pub struct Firmware {
@@ -773,29 +757,16 @@ impl Firmware {
             }
         }
         if let Some(tx) = self.arq_tx.as_mut() {
-            // Jump-to-deadline: `service` before the transport's next
-            // due tick only compares `due_tick`s (no sends, no RNG, no
-            // counter changes), so skipping it is byte-exact. Frames
-            // enqueued this tick and ack-triggered fast retransmits are
-            // due at or before `self.ticks`, so they always service.
+            // `service` before the transport's next due tick only
+            // compares `due_tick`s (no sends, no RNG, no counter changes),
+            // so skipping it is byte-exact. Frames enqueued this tick and
+            // ack-triggered fast retransmits are due at or before
+            // `self.ticks`, so they always service.
             if tx.next_due_tick().is_some_and(|due| due <= self.ticks) {
                 tx.service(self.ticks, |wire| board.send_telemetry(wire, rng));
             }
         }
         Ok(())
-    }
-
-    /// The firmware's pending periodic deadlines — what it registers
-    /// with the event core. Between the current tick and the earliest of
-    /// these, the periodic tasks do nothing (the per-tick sample/filter
-    /// pipeline still runs every tick: the sensor physics and the noise
-    /// draws are tick-pinned).
-    pub fn next_deadlines(&self) -> FirmwareDeadlines {
-        FirmwareDeadlines {
-            lower_redraw_tick: self.next_lower_redraw_tick,
-            state_record_tick: self.next_state_record_tick,
-            arq_service_tick: self.arq_tx.as_ref().and_then(ArqTx::next_due_tick),
-        }
     }
 }
 
@@ -864,7 +835,7 @@ mod tests {
                 self.fw.tick(&mut self.board, &mut self.rng).unwrap();
                 #[expect(
                     clippy::disallowed_methods,
-                    reason = "the firmware test rig drives the board without a device dispatch"
+                    reason = "the firmware test rig steps the board without a device around it"
                 )]
                 self.board.step(tick);
                 elapsed += tick.as_millis();

@@ -276,9 +276,9 @@ impl ArqTx {
 
     /// The earliest tick at which any pending frame wants service —
     /// first transmission, retransmission, or expiry. `None` with an
-    /// empty queue. This is the transport's wakeup deadline: calling
-    /// [`ArqTx::service`] before it is a guaranteed no-op (the scan only
-    /// compares `due_tick`s), so the event core skips the call entirely.
+    /// empty queue. Calling [`ArqTx::service`] before it is a guaranteed
+    /// no-op (the scan only compares `due_tick`s), so the firmware tick
+    /// skips the call entirely.
     pub fn next_due_tick(&self) -> Option<u64> {
         self.pending.iter().map(|p| p.due_tick).min()
     }

@@ -23,7 +23,7 @@
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "the board is the stepping site the event-core dispatch drives"
+    reason = "the board is the stepping site the device tick drives"
 )]
 
 use rand::Rng;
@@ -243,26 +243,11 @@ impl Board {
 
     /// Advances simulated time by `dt`, draining the battery according to
     /// the current display and sensor load. The display load reads the
-    /// panels' O(1) ink caches, so this is cheap enough to run at every
-    /// deadline the event scheduler fires.
+    /// panels' O(1) ink caches, so this is cheap enough to run on every
+    /// device tick.
     pub fn step(&mut self, dt: SimDuration) {
         let lit = self.display(DisplayRole::Upper).lit_pixels()
             + self.display(DisplayRole::Lower).lit_pixels();
-        self.step_with_lit(lit, dt);
-    }
-
-    /// [`Board::step`] with the pre-event-core per-tick cost model: the
-    /// display load is recounted by scanning both text buffers through
-    /// the font table, exactly as every tick used to. Byte-identical to
-    /// `step` (the recount equals the cache); kept as the reference driver
-    /// for the cache-equivalence tests.
-    pub fn step_recount(&mut self, dt: SimDuration) {
-        let lit = self.display(DisplayRole::Upper).recount_lit_pixels()
-            + self.display(DisplayRole::Lower).recount_lit_pixels();
-        self.step_with_lit(lit, dt);
-    }
-
-    fn step_with_lit(&mut self, lit: u32, dt: SimDuration) {
         let mut load = self.load.total_ma(lit, false);
         if !self.sensor_powered {
             load -= self.load.sensor_ma;

@@ -252,16 +252,6 @@ impl SimClock {
     pub fn advance(&mut self, dt: SimDuration) {
         self.now += dt;
     }
-
-    /// Moves the clock forward to `target`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is in the past: the clock is monotonic.
-    pub fn advance_to(&mut self, target: SimInstant) {
-        assert!(target >= self.now, "simulated clock cannot run backwards");
-        self.now = target;
-    }
 }
 
 #[cfg(test)]
@@ -318,16 +308,8 @@ mod tests {
         let mut clock = SimClock::new();
         assert_eq!(clock.now(), SimInstant::BOOT);
         clock.advance(SimDuration::from_millis(38));
-        clock.advance_to(SimInstant::from_micros(50_000));
+        clock.advance(SimDuration::from_millis(12));
         assert_eq!(clock.now().as_micros(), 50_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot run backwards")]
-    fn clock_rejects_time_travel() {
-        let mut clock = SimClock::new();
-        clock.advance(SimDuration::from_secs(1));
-        clock.advance_to(SimInstant::from_micros(10));
     }
 
     #[test]

@@ -172,8 +172,7 @@ impl Bt96040 {
 
     /// Recounts lit pixels by scanning the whole text buffer — the
     /// reference implementation the O(1) [`Bt96040::lit_pixels`] cache is
-    /// checked against (and the per-tick cost the pre-event-core board
-    /// step used to pay).
+    /// checked against.
     pub fn recount_lit_pixels(&self) -> u32 {
         if !self.powered {
             return 0;

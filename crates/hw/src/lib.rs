@@ -24,8 +24,7 @@
 //! * [`arq`] — reliable delivery (sequence numbers, acks, retransmission)
 //!   layered on the link,
 //! * [`board`] — the wiring of the whole DistScroll board (paper, Fig. 2/3),
-//! * [`sched`] — the deterministic discrete-event scheduler the device
-//!   loop runs on (jump-to-deadline instead of fixed ticks).
+//!   stepped once per fixed-period firmware tick.
 //!
 //! Everything is deterministic: components never read wall-clock time or
 //! global randomness; callers pass a [`clock::SimInstant`] and, where a
@@ -60,7 +59,6 @@ pub mod link;
 pub mod mcu;
 pub mod pot;
 pub mod power;
-pub mod sched;
 
 /// Errors reported by simulated hardware components.
 #[derive(Debug, Clone, PartialEq)]

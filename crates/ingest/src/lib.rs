@@ -13,7 +13,7 @@
 //! # Architecture
 //!
 //! * **Sharding** — per-session state (decoder, ARQ receiver, stats) is
-//!   partitioned by `device_id % shards` into [`shard::Shard`]s. A
+//!   partitioned by `device_id % shards` into shards (`shard::Shard`). A
 //!   shard exclusively owns its sessions and drains its input queue in
 //!   FIFO order, so a round of processing is deterministic regardless
 //!   of how many threads execute the shards — `--jobs` moves wall-clock

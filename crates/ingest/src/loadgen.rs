@@ -4,7 +4,7 @@
 //! ingest path would dominate the benchmark with firmware simulation.
 //! Instead, a handful of *template* sessions are captured through the
 //! real stack — device firmware, ARQ retransmit queue, lossy radio,
-//! live host acks, all under the event scheduler — and the fleet
+//! live host acks, all driven by the device tick — and the fleet
 //! replays them: device `d` plays template `d % templates` with a
 //! deterministic start-round offset, so arrival interleaving varies
 //! across the cohort while each session's byte stream (and therefore

@@ -12,7 +12,7 @@ pub fn smooth(median: &mut MedianFilter, ema: &mut Ema, x: f64) -> f64 {
 
 #[expect(
     clippy::disallowed_methods,
-    reason = "this fixture board is its own dispatch site"
+    reason = "this fixture board is its own stepping site"
 )]
 pub fn sanctioned(board: &mut Board) -> Ema {
     board.step(SimDuration::from_millis(10));

@@ -1,15 +1,11 @@
-//@ expect: clippy::disallowed_methods@11
-//@ expect: clippy::disallowed_methods@12
-//@ expect: clippy::disallowed_methods@13
-//@ expect: clippy::disallowed_methods@14
+//@ expect: clippy::disallowed_methods@9
+//@ expect: clippy::disallowed_methods@10
 
 use distscroll_hw::board::Board;
-use distscroll_hw::clock::{SimClock, SimDuration, SimInstant};
+use distscroll_hw::clock::{SimClock, SimDuration};
 
-// A harness grinding the simulation forward instead of registering deadlines.
+// A harness grinding the simulation forward instead of ticking the device.
 pub fn drive(board: &mut Board, clock: &mut SimClock) {
     board.step(SimDuration::from_millis(10));
-    board.step_recount(SimDuration::from_millis(10));
     clock.advance(SimDuration::from_millis(10));
-    clock.advance_to(SimInstant::from_micros(20_000));
 }

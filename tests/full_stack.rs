@@ -146,6 +146,13 @@ fn flat_battery_ends_the_session_with_a_brownout_error() {
         died,
         "a 0.05 mAh cell cannot power the board for 10 minutes"
     );
+    // The tick fails before it steps the board: a dead device stays dead
+    // and its clock stands still.
+    let dead_at = dev.now();
+    for _ in 0..3 {
+        assert!(dev.tick().is_err(), "a browned-out device cannot tick");
+        assert_eq!(dev.now(), dead_at, "no time passes on a fault");
+    }
     let mut brownout_logged = false;
     dev.poll_events(&mut |e: &TimedEvent| {
         brownout_logged |= matches!(e.event, Event::BrownOut);
