@@ -206,15 +206,6 @@ impl ScrollTechnique for ButtonsTechnique {
     }
 }
 
-/// Analytic expectation for sanity checks: taps at one keystroke each
-/// plus reaction and selection overheads.
-pub fn expected_tap_time_s(user: &UserParams, distance: usize) -> f64 {
-    user.perception.reaction_mean_s
-        + distance as f64 * user.keystroke_s
-        + user.dwell_s
-        + user.keystroke_s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,13 +7,14 @@
 //! sampling eye closes the loop. Nothing here is shortcut: selection
 //! times and errors emerge from physics + firmware + motor control.
 //!
-//! [`select_loop`] is that loop, written once: every full-stack trial
-//! (this technique, the PDA add-on, the robustness and long-menu
-//! experiments) runs through it.
+//! [`select_loop`] is that loop, written once, for a menu of any shape:
+//! every full-stack trial (this technique, the PDA add-on, the robustness
+//! and long-menu experiments, the example sessions) runs through it and
+//! gets back the device's last [`Selection`].
 
 use distscroll_core::device::DistScrollDevice;
 use distscroll_core::events::{Event, TimedEvent};
-use distscroll_core::menu::Menu;
+use distscroll_core::menu::{Menu, Selection};
 use distscroll_core::profile::{DeviceProfile, DirectionMapping, RecognizerKind};
 use distscroll_user::population::UserParams;
 use distscroll_user::strategy::{DeviceGeometry, PositionAim, UserCommand};
@@ -119,10 +120,8 @@ impl ScrollTechnique for DistScrollTechnique {
 
         let believed_direction = self.user_direction_belief.unwrap_or(self.profile.direction);
         let geometry = DeviceGeometry {
-            near_cm: self.profile.near_cm,
-            far_cm: self.profile.far_cm,
-            n_entries: setup.n_entries,
             toward_is_down: believed_direction == DirectionMapping::TowardIsDown,
+            ..user_geometry(&self.profile, setup.n_entries)
         };
         // Park the hand on the start entry and let the firmware settle
         // there before the trial clock starts (as study procedures do).
@@ -147,7 +146,7 @@ impl ScrollTechnique for DistScrollTechnique {
         let (t, selected) = select_loop(&mut dev, &mut aim, TRIAL_TIMEOUT_S, rng, |dev| {
             dev.highlighted()
         });
-        match selected {
+        match selected.as_ref().and_then(Selection::flat_index) {
             Some(idx) => TrialResult {
                 time_s: t,
                 selected_idx: Some(idx),
@@ -159,21 +158,39 @@ impl ScrollTechnique for DistScrollTechnique {
     }
 }
 
-/// The closed selection loop every full-stack DistScroll trial runs.
+/// How the user sees a device with `profile` showing a level of
+/// `n_entries`: its range and which way "down the menu" lies.
+pub fn user_geometry(profile: &DeviceProfile, n_entries: usize) -> DeviceGeometry {
+    DeviceGeometry {
+        near_cm: profile.near_cm,
+        far_cm: profile.far_cm,
+        n_entries,
+        toward_is_down: profile.direction == DirectionMapping::TowardIsDown,
+    }
+}
+
+/// The closed selection loop every full-stack DistScroll trial runs,
+/// over a menu of any shape.
 ///
 /// Each step the user reads the index `seen` shows them (the onboard
 /// panel, or a host-rendered screen), moves the hand and presses or
-/// releases select; the device then ticks. The loop ends once an entry
-/// has been activated and the user is done, on brown-out, or after
+/// releases select; the device then ticks. `seen` runs before every
+/// step, so after every tick but the last. The loop ends once a select
+/// action has landed and the user is done, on brown-out, or after
 /// `timeout_s` seconds. Returns the elapsed trial time and the last
-/// activated entry of the flat menu, if any.
+/// [`Selection`] the device reported, if any: an activated leaf or an
+/// entered submenu.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this is the one user⇄device step every full-stack trial shares"
+)]
 pub fn select_loop(
     dev: &mut DistScrollDevice,
     aim: &mut PositionAim,
     timeout_s: f64,
     rng: &mut StdRng,
     mut seen: impl FnMut(&mut DistScrollDevice) -> usize,
-) -> (f64, Option<usize>) {
+) -> (f64, Option<Selection>) {
     let t0 = dev.now();
     let mut t = 0.0;
     let mut selected = None;
@@ -188,7 +205,7 @@ pub fn select_loop(
         if dev.tick().is_err() {
             break; // brown-out mid-trial
         }
-        selected = poll_selected(dev).or(selected);
+        selected = poll_selection(dev).or(selected);
         if selected.is_some() && aim.is_done() {
             break;
         }
@@ -197,14 +214,18 @@ pub fn select_loop(
     (t, selected)
 }
 
-/// Visits the device's pending events and returns the flat-menu index
-/// of the last entry activated among them, if any.
-pub fn poll_selected(dev: &mut DistScrollDevice) -> Option<usize> {
+/// Visits the device's pending events and returns the last select
+/// action among them, if any.
+pub fn poll_selection(dev: &mut DistScrollDevice) -> Option<Selection> {
     let mut selected = None;
-    dev.poll_events(&mut |ev: &TimedEvent| {
-        if let Event::Activated { path } = &ev.event {
-            selected = path.last().and_then(|label| Menu::flat_index(label));
+    dev.poll_events(&mut |ev: &TimedEvent| match &ev.event {
+        Event::Activated { path } => selected = Some(Selection::Activated { path: path.clone() }),
+        Event::EnteredSubmenu { label } => {
+            selected = Some(Selection::EnteredSubmenu {
+                label: label.clone(),
+            });
         }
+        _ => {}
     });
     selected
 }
@@ -262,6 +283,51 @@ mod tests {
             far > near,
             "fitts through the whole stack: {near:.2}s vs {far:.2}s"
         );
+    }
+
+    /// Runs one expert selection of top-level entry `target` of `menu`.
+    fn select_in(menu: Menu, target: usize, seed: u64) -> Option<Selection> {
+        let profile = DeviceProfile::paper();
+        let mut dev = DistScrollDevice::new(profile.clone(), menu, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let geometry = user_geometry(&profile, dev.level_len());
+        let mut aim = PositionAim::new(
+            UserParams::expert(),
+            geometry,
+            target,
+            dev.distance(),
+            50,
+            &mut rng,
+        );
+        select_loop(&mut dev, &mut aim, 20.0, &mut rng, |dev| dev.highlighted()).1
+    }
+
+    #[test]
+    fn selecting_a_submenu_reports_entering_it() {
+        let menu = distscroll_core::phone_menu::phone_menu();
+        let label = menu.root().children()[2].label().to_string();
+        assert_eq!(
+            select_in(menu, 2, 5),
+            Some(Selection::EnteredSubmenu { label })
+        );
+    }
+
+    #[test]
+    fn selecting_a_named_leaf_reports_its_path() {
+        use distscroll_core::menu::MenuNode;
+        let labels = ["Red", "Green", "Blue", "Cyan", "Magenta"];
+        let menu = Menu::new(MenuNode::submenu(
+            "Colours",
+            labels.iter().map(|&l| MenuNode::leaf(l)).collect(),
+        ));
+        let selection = select_in(menu, 3, 9);
+        assert_eq!(
+            selection,
+            Some(Selection::Activated {
+                path: vec!["Cyan".to_string()]
+            })
+        );
+        assert_eq!(selection.and_then(|s| s.flat_index()), None);
     }
 
     #[test]

@@ -58,6 +58,10 @@ impl ScrollTechnique for YoyoTechnique {
         "yoyo"
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the yo-yo's cable model has no DistScroll device to run select_loop on"
+    )]
     fn run_trial(
         &mut self,
         user: &UserParams,

@@ -95,7 +95,8 @@ impl<F: FnMut(&TimedEvent)> EventSink for F {
     }
 }
 
-/// A bounded event log: the firmware appends, the harness drains.
+/// The firmware's event log: the firmware appends, the harness drains
+/// it with [`EventLog::poll`]. It is unbounded and grows until polled.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventLog {
     events: Vec<TimedEvent>,

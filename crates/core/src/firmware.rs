@@ -254,11 +254,6 @@ impl Firmware {
         self.arq_tx.as_ref().map(ArqTx::quality)
     }
 
-    /// Records awaiting acknowledgement, when ARQ is enabled.
-    pub fn arq_in_flight(&self) -> Option<usize> {
-        self.arq_tx.as_ref().map(ArqTx::in_flight)
-    }
-
     /// The firmware's latest distance estimate, cm (None while out of
     /// range).
     pub fn distance_estimate(&self) -> Option<f64> {

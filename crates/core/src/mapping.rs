@@ -396,11 +396,6 @@ impl IslandMap {
         self.lookup(volts_to_code(curve.voltage_at(cm)))
     }
 
-    /// The near and far edges in cm.
-    pub fn range_cm(&self) -> (f64, f64) {
-        (self.near_cm, self.far_cm)
-    }
-
     /// Fraction of the code span covered by islands (1 − dead-zone
     /// fraction in code space); an analysis aid for E7.
     pub fn code_coverage(&self) -> f64 {

@@ -144,6 +144,17 @@ pub enum Selection {
     },
 }
 
+impl Selection {
+    /// The entry index of an activated [`Menu::flat`] leaf; `None` for
+    /// a submenu entry or any other label.
+    pub fn flat_index(&self) -> Option<usize> {
+        match self {
+            Selection::Activated { path } => Menu::flat_index(path.last()?),
+            Selection::EnteredSubmenu { .. } => None,
+        }
+    }
+}
+
 /// The mutable cursor over a [`Menu`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Navigator {
@@ -279,9 +290,13 @@ mod tests {
             let menu = Menu::flat(n);
             for (i, leaf) in menu.root().children().iter().enumerate() {
                 assert_eq!(Menu::flat_index(leaf.label()), Some(i), "n = {n}");
+                let path = vec![leaf.label().to_string()];
+                assert_eq!(Selection::Activated { path }.flat_index(), Some(i));
             }
         }
         assert_eq!(Menu::flat_index("Back"), None);
+        let label = "Item 03".to_string();
+        assert_eq!(Selection::EnteredSubmenu { label }.flat_index(), None);
     }
 
     fn small_menu() -> Menu {

@@ -13,14 +13,14 @@
 //! * **sdaz** — displacement-to-velocity rate control around the range
 //!   centre.
 
-use distscroll_baselines::distscroll::{poll_selected, select_loop};
+use distscroll_baselines::distscroll::{poll_selection, select_loop, user_geometry};
 use distscroll_core::device::DistScrollDevice;
 use distscroll_core::events::TimedEvent;
 use distscroll_core::long_menu::LongMenuStrategy;
-use distscroll_core::menu::Menu;
+use distscroll_core::menu::{Menu, Selection};
 use distscroll_core::profile::DeviceProfile;
 use distscroll_user::population::UserParams;
-use distscroll_user::strategy::{DeviceGeometry, PositionAim, UserCommand};
+use distscroll_user::strategy::PositionAim;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -63,12 +63,7 @@ pub fn run_continuous_trial(
         ..DeviceProfile::paper()
     };
     let mut dev = DistScrollDevice::new(profile.clone(), Menu::flat(n), rng.gen());
-    let geometry = DeviceGeometry {
-        near_cm: profile.near_cm,
-        far_cm: profile.far_cm,
-        n_entries: n,
-        toward_is_down: true,
-    };
+    let geometry = user_geometry(&profile, n);
     let start_cm = geometry.entry_position_cm(start);
     dev.set_distance(start_cm);
     if dev.run_for_ms(500).is_err() {
@@ -85,7 +80,7 @@ pub fn run_continuous_trial(
     });
     LongTrial {
         time_s,
-        correct: selected == Some(target),
+        correct: selected.as_ref().and_then(Selection::flat_index) == Some(target),
         timed_out: selected.is_none(),
     }
 }
@@ -116,12 +111,7 @@ pub fn run_chunked_trial(
     let mut dev = DistScrollDevice::new(profile.clone(), Menu::flat(n), rng.gen());
 
     // Local-page geometry for the aiming phase.
-    let geometry = DeviceGeometry {
-        near_cm: profile.near_cm,
-        far_cm: profile.far_cm,
-        n_entries: page_size,
-        toward_is_down: true,
-    };
+    let geometry = user_geometry(&profile, page_size);
     let target_page = target / page_size;
     let target_local = target % page_size;
 
@@ -136,14 +126,11 @@ pub fn run_chunked_trial(
     dev.poll_events(&mut |_: &TimedEvent| {});
 
     let t0 = dev.now();
-    let mut t;
-    let mut selected: Option<usize> = None;
 
     // Phase 1: page seek. Hold the flip-zone position and watch the seen
     // page; leave the zone once it matches.
-    let react = user.perception.reaction_time_s(&mut rng);
     loop {
-        t = (dev.now() - t0).as_secs_f64();
+        let t = (dev.now() - t0).as_secs_f64();
         if t >= TIMEOUT_S {
             return LongTrial {
                 time_s: t,
@@ -168,7 +155,6 @@ pub fn run_chunked_trial(
                 timed_out: true,
             };
         }
-        let _ = t < react; // reaction folded into the settling below
     }
     // Small settle after leaving the zone (the user re-fixates).
     dev.set_distance(geometry.entry_position_cm(page_size / 2));
@@ -181,38 +167,16 @@ pub fn run_chunked_trial(
     }
     dev.poll_events(&mut |_: &TimedEvent| {});
 
-    // Phase 2: local aim inside the page.
-    let t1 = dev.now();
+    // Phase 2: local aim inside the page. The display shows global
+    // indices; the user reads the position within the page.
+    let seek_s = (dev.now() - t0).as_secs_f64();
     let mut aim = PositionAim::new(*user, geometry, target_local, dev.distance(), 100, &mut rng);
-    loop {
-        let t_local = (dev.now() - t1).as_secs_f64();
-        t = (dev.now() - t0).as_secs_f64();
-        if t >= TIMEOUT_S {
-            break;
-        }
-        // The display shows global indices; present the local one (if the
-        // page drifted, the clamped value keeps corrections sane).
-        let seen_local = dev
-            .highlighted()
-            .saturating_sub(dev.highlighted() / page_size * page_size);
-        let (pos, cmd) = aim.step(t_local, seen_local.min(page_size - 1), &mut rng);
-        dev.set_distance(pos.clamp(profile.near_cm, profile.far_cm));
-        match cmd {
-            UserCommand::PressSelect => dev.press_select(),
-            UserCommand::ReleaseSelect => dev.release_select(),
-            UserCommand::None => {}
-        }
-        if dev.tick().is_err() {
-            break;
-        }
-        selected = poll_selected(&mut dev).or(selected);
-        if selected.is_some() && aim.is_done() {
-            break;
-        }
-    }
+    let (t, selected) = select_loop(&mut dev, &mut aim, TIMEOUT_S - seek_s, &mut rng, |dev| {
+        dev.highlighted() % page_size
+    });
     LongTrial {
-        time_s: t,
-        correct: selected == Some(target),
+        time_s: seek_s + t,
+        correct: selected.as_ref().and_then(Selection::flat_index) == Some(target),
         timed_out: selected.is_none(),
     }
 }
@@ -222,7 +186,7 @@ pub fn run_chunked_trial(
 /// error, recentre when close, confirm.
 pub fn run_sdaz_trial(
     n: usize,
-    start: usize,
+    _start: usize,
     target: usize,
     user: &UserParams,
     seed: u64,
@@ -244,11 +208,8 @@ pub fn run_sdaz_trial(
             timed_out: true,
         };
     }
-    // Seed the controller at the start entry by seeking: the runner
-    // treats the start position as given, as in the other strategies.
-    // (The firmware's controller starts at 0; scroll to `start` first is
-    // part of the task for sdaz, so start the clock after reaching it.)
-    let _ = start;
+    // The firmware's rate controller starts at entry 0 whatever the
+    // start entry, so the trial clock starts there after the settle.
     dev.poll_events(&mut |_: &TimedEvent| {});
 
     let t0 = dev.now();
@@ -257,7 +218,7 @@ pub fn run_sdaz_trial(
     let mut next_look = 0.0;
     let mut desired = centre;
     let mut settle_since: Option<f64> = None;
-    let mut selected: Option<usize> = None;
+    let mut selected = None;
     let mut pressed = false;
     let mut press_t = 0.0;
     const HAND_SPEED: f64 = 45.0; // cm/s smooth-pursuit limit
@@ -306,15 +267,15 @@ pub fn run_sdaz_trial(
         if dev.tick().is_err() {
             break;
         }
-        if let Some(idx) = poll_selected(&mut dev) {
-            selected = Some(idx);
+        selected = poll_selection(&mut dev);
+        if selected.is_some() {
             break;
         }
         t = (dev.now() - t0).as_secs_f64();
     }
     LongTrial {
         time_s: t,
-        correct: selected == Some(target),
+        correct: selected.as_ref().and_then(Selection::flat_index) == Some(target),
         timed_out: selected.is_none(),
     }
 }

@@ -17,7 +17,7 @@
 //!
 //! [`PdaScreen`]: distscroll_host::pda::PdaScreen
 
-use distscroll_baselines::distscroll::{select_loop, DistScrollTechnique};
+use distscroll_baselines::distscroll::{select_loop, user_geometry, DistScrollTechnique};
 use distscroll_baselines::technique::TRIAL_TIMEOUT_S;
 use distscroll_baselines::{ScrollTechnique, TrialSetup};
 use distscroll_core::device::DistScrollDevice;
@@ -28,7 +28,7 @@ use distscroll_host::pda::PdaScreen;
 use distscroll_host::telemetry::StreamDecoder;
 use distscroll_hw::board::Telemetry;
 use distscroll_user::population::UserParams;
-use distscroll_user::strategy::{DeviceGeometry, PositionAim};
+use distscroll_user::strategy::PositionAim;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,12 +49,7 @@ pub fn run_pda_trial(
     let profile = DeviceProfile::pda_addon();
     let mut dev = DistScrollDevice::new(profile.clone(), Menu::flat(n), rng.gen());
 
-    let geometry = DeviceGeometry {
-        near_cm: profile.near_cm,
-        far_cm: profile.far_cm,
-        n_entries: n,
-        toward_is_down: true,
-    };
+    let geometry = user_geometry(&profile, n);
     let start_cm = dev.island_center_cm(start).unwrap_or(17.0);
     dev.set_distance(start_cm);
     if dev.run_for_ms(500).is_err() {
@@ -73,7 +68,7 @@ pub fn run_pda_trial(
         });
         screen.highlighted().min(n - 1)
     });
-    (t, selected == Some(target))
+    (t, selected.and_then(|s| s.flat_index()) == Some(target))
 }
 
 /// Battery state of charge after an idle session of `minutes`.

@@ -13,7 +13,7 @@
 //! * **interaction errors** — full-stack selection trials under the
 //!   condition.
 
-use distscroll_baselines::distscroll::select_loop;
+use distscroll_baselines::distscroll::{select_loop, user_geometry};
 use distscroll_core::device::DistScrollDevice;
 use distscroll_core::events::TimedEvent;
 use distscroll_core::menu::Menu;
@@ -22,7 +22,7 @@ use distscroll_sensors::calibrate::fit_inverse_curve;
 use distscroll_sensors::environment::{AmbientLight, Scene, Surface};
 use distscroll_sensors::gp2d120::{self, Gp2d120};
 use distscroll_user::population::UserParams;
-use distscroll_user::strategy::{DeviceGeometry, PositionAim};
+use distscroll_user::strategy::PositionAim;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,12 +72,7 @@ pub fn error_rate_under(surface: Surface, ambient: AmbientLight, trials: usize, 
         let mut dev = DistScrollDevice::new(profile.clone(), Menu::flat(n), rng.gen());
         dev.set_surface(surface);
         dev.set_ambient(ambient);
-        let geometry = DeviceGeometry {
-            near_cm: profile.near_cm,
-            far_cm: profile.far_cm,
-            n_entries: n,
-            toward_is_down: true,
-        };
+        let geometry = user_geometry(&profile, n);
         #[expect(
             clippy::expect_used,
             reason = "start entry index is in range for the 10-entry paper menu"
@@ -92,7 +87,7 @@ pub fn error_rate_under(surface: Surface, ambient: AmbientLight, trials: usize, 
         let mut aim = PositionAim::new(user, geometry, target, start_cm, 100, &mut rng);
         let (_, selected) =
             select_loop(&mut dev, &mut aim, 20.0, &mut rng, |dev| dev.highlighted());
-        if selected != Some(target) {
+        if selected.and_then(|s| s.flat_index()) != Some(target) {
             errors += 1;
         }
     }

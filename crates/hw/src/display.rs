@@ -78,7 +78,6 @@ pub struct Bt96040 {
     powered: bool,
     /// Count of full-screen clears (a cheap proxy for flicker in tests).
     clears: u64,
-    writes: u64,
     /// Total font ink of the text buffer, maintained incrementally on
     /// every write so the per-tick power model reads it in O(1) instead
     /// of re-scanning all 80 cells. Invariant: always equals
@@ -98,7 +97,6 @@ impl Bt96040 {
             contrast: 32,
             powered: true,
             clears: 0,
-            writes: 0,
             ink_total: 0,
         }
     }
@@ -113,19 +111,9 @@ impl Bt96040 {
         self.contrast
     }
 
-    /// Whether the panel is switched on.
-    pub fn is_powered(&self) -> bool {
-        self.powered
-    }
-
     /// Number of clear commands processed since boot.
     pub fn clear_count(&self) -> u64 {
         self.clears
-    }
-
-    /// Number of text-write commands processed since boot.
-    pub fn write_count(&self) -> u64 {
-        self.writes
     }
 
     /// The text of one line, trailing spaces trimmed.
@@ -268,7 +256,6 @@ impl I2cDevice for Bt96040 {
                     *cell = stored;
                     self.cursor_col += 1;
                 }
-                self.writes += 1;
                 Ok(())
             }
             cmd::SET_CONTRAST => {

@@ -37,11 +37,6 @@ impl IngestService {
         }
     }
 
-    /// Number of shards (fixed at construction).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Offers one device's chunk of radio bytes. Returns `false` when
     /// the owning shard is at its high-water mark and shed the chunk
     /// (the shed is also counted in that shard's stats).

@@ -279,6 +279,10 @@ impl PositionAim {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the aim model's own tests step it against an ideal display"
+)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

@@ -3,6 +3,7 @@
 pub mod attribute_no_reason;
 pub mod clean;
 pub mod fixed_tick;
+pub mod hand_step;
 pub mod hash_iter;
 pub mod panic_lib;
 pub mod raw_filter;

@@ -11,13 +11,13 @@
 //! scans while the device hand scrolls a category menu by distance and
 //! confirms with the (glove-friendly) thumb button.
 
+use distscroll::baselines::distscroll::{select_loop, user_geometry};
 use distscroll::core::device::DistScrollDevice;
-use distscroll::core::events::{Event, TimedEvent};
-use distscroll::core::menu::{Menu, MenuNode};
+use distscroll::core::menu::{Menu, MenuNode, Selection};
 use distscroll::core::profile::DeviceProfile;
 use distscroll::sensors::environment::{AmbientLight, Surface};
 use distscroll::user::population::UserParams;
-use distscroll::user::strategy::{DeviceGeometry, PositionAim, UserCommand};
+use distscroll::user::strategy::PositionAim;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -64,42 +64,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("box of 4x40 screws", 7),
     ];
 
-    let n = dev.level_len();
-    let geometry = DeviceGeometry {
-        near_cm: profile.near_cm,
-        far_cm: profile.far_cm,
-        n_entries: n,
-        toward_is_down: true,
-    };
+    let geometry = user_geometry(&profile, dev.level_len());
 
     let session_start = dev.now();
     let mut logged = 0;
     for (item, category) in shelf {
         let start_cm = dev.distance();
         let mut aim = PositionAim::new(user, geometry, category, start_cm, 50, &mut rng);
-        let t0 = dev.now();
-        let mut selected: Option<String> = None;
-        while (dev.now() - t0).as_secs_f64() < 20.0 {
-            let t = (dev.now() - t0).as_secs_f64();
-            let (pos, cmd) = aim.step(t, dev.highlighted(), &mut rng);
-            dev.set_distance(pos);
-            match cmd {
-                UserCommand::PressSelect => dev.press_select(),
-                UserCommand::ReleaseSelect => dev.release_select(),
-                UserCommand::None => {}
-            }
-            dev.tick()?;
-            dev.poll_events(&mut |ev: &TimedEvent| {
-                if let Event::Activated { path } = &ev.event {
-                    selected = path.last().cloned();
-                }
-            });
-            if selected.is_some() && aim.is_done() {
-                break;
-            }
-        }
-        let took = (dev.now() - t0).as_secs_f64();
-        let got = selected.unwrap_or_else(|| "(none)".into());
+        let (took, selected) =
+            select_loop(&mut dev, &mut aim, 20.0, &mut rng, |dev| dev.highlighted());
+        let got = match selected {
+            Some(Selection::Activated { mut path }) => path.pop().unwrap_or_default(),
+            _ => "(none)".into(),
+        };
         let want = stock_menu().root().children()[category].label().to_string();
         let ok = got == want;
         if ok {

@@ -10,6 +10,7 @@
 //! the host decodes the radio stream, segments it into selections and
 //! replays the hand trajectory.
 
+use distscroll::baselines::distscroll::{select_loop, user_geometry};
 use distscroll::core::device::DistScrollDevice;
 use distscroll::core::mapping::paper_curve;
 use distscroll::core::phone_menu::phone_menu;
@@ -19,7 +20,7 @@ use distscroll::host::session::SessionLog;
 use distscroll::host::telemetry::StreamDecoder;
 use distscroll::hw::board::Telemetry;
 use distscroll::user::population::UserParams;
-use distscroll::user::strategy::{DeviceGeometry, PositionAim, UserCommand};
+use distscroll::user::strategy::PositionAim;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,42 +35,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("host logger — the PC side of the paper's wireless link\n");
 
     // The participant selects three top-level entries in a row.
-    let geometry = DeviceGeometry {
-        near_cm: profile.near_cm,
-        far_cm: profile.far_cm,
-        n_entries: dev.level_len(),
-        toward_is_down: true,
+    let geometry = user_geometry(&profile, dev.level_len());
+    let mut drain = |dev: &mut DistScrollDevice| {
+        dev.poll_telemetry(&mut |frame: &Telemetry| {
+            log.ingest_all(decoder.push_bytes(&frame.bytes));
+        });
     };
     for &target in &[1usize, 5, 3] {
         let mut aim = PositionAim::new(user, geometry, target, dev.distance(), 50, &mut rng);
-        let t0 = dev.now();
-        loop {
-            let t = (dev.now() - t0).as_secs_f64();
-            if t > 15.0 {
-                break;
-            }
-            let (pos, cmd) = aim.step(t, dev.highlighted(), &mut rng);
-            dev.set_distance(pos);
-            match cmd {
-                UserCommand::PressSelect => dev.press_select(),
-                UserCommand::ReleaseSelect => dev.release_select(),
-                UserCommand::None => {}
-            }
-            dev.tick()?;
-            dev.poll_telemetry(&mut |frame: &Telemetry| {
-                log.ingest_all(decoder.push_bytes(&frame.bytes));
-            });
-            if aim.is_done() {
-                break;
-            }
-        }
+        select_loop(&mut dev, &mut aim, 15.0, &mut rng, |dev| {
+            drain(dev);
+            dev.highlighted()
+        });
+        drain(&mut dev);
         // Entered a submenu? Back out for the next trial.
         while dev.level() > 0 {
             dev.click_back()?;
         }
-        dev.poll_telemetry(&mut |frame: &Telemetry| {
-            log.ingest_all(decoder.push_bytes(&frame.bytes));
-        });
+        drain(&mut dev);
     }
 
     println!(

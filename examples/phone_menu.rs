@@ -9,12 +9,13 @@
 //! per-trial log mirroring what the authors' observers noted: prompt
 //! discovery, then near-errorless use.
 
+use distscroll::baselines::distscroll::{select_loop, user_geometry};
 use distscroll::core::device::DistScrollDevice;
-use distscroll::core::events::{Event, TimedEvent};
+use distscroll::core::menu::Selection;
 use distscroll::core::phone_menu::phone_menu;
 use distscroll::core::profile::DeviceProfile;
 use distscroll::user::population::UserParams;
-use distscroll::user::strategy::{DeviceGeometry, PositionAim, UserCommand};
+use distscroll::user::strategy::PositionAim;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,13 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("DistScroll initial-study session — one synthetic participant\n");
     println!("task per trial: highlight a requested top-level entry and press select\n");
 
-    let n = dev.level_len();
-    let geometry = DeviceGeometry {
-        near_cm: profile.near_cm,
-        far_cm: profile.far_cm,
-        n_entries: n,
-        toward_is_down: true,
-    };
+    let geometry = user_geometry(&profile, dev.level_len());
 
     let targets = [2usize, 5, 0, 4, 6, 1, 3, 5, 2, 4];
     for (trial, &target) in targets.iter().enumerate() {
@@ -45,32 +40,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let start_cm = dev.distance();
         let mut aim =
             PositionAim::new(user, geometry, target, start_cm, trial as u32 + 1, &mut rng);
-        let t0 = dev.now();
-        let mut outcome: Option<Vec<String>> = None;
-        while (dev.now() - t0).as_secs_f64() < 20.0 {
-            let t = (dev.now() - t0).as_secs_f64();
-            let (pos, cmd) = aim.step(t, dev.highlighted(), &mut rng);
-            dev.set_distance(pos);
-            match cmd {
-                UserCommand::PressSelect => dev.press_select(),
-                UserCommand::ReleaseSelect => dev.release_select(),
-                UserCommand::None => {}
-            }
-            dev.tick()?;
-            dev.poll_events(&mut |ev: &TimedEvent| {
-                if let Event::EnteredSubmenu { label } = &ev.event {
-                    outcome = Some(vec![label.clone()]);
-                } else if let Event::Activated { path } = &ev.event {
-                    outcome = Some(path.clone());
-                }
-            });
-            if outcome.is_some() && aim.is_done() {
-                break;
-            }
-        }
+        let (time, outcome) =
+            select_loop(&mut dev, &mut aim, 20.0, &mut rng, |dev| dev.highlighted());
         let wanted = phone_menu().root().children()[target].label().to_string();
-        let got = outcome.map_or("(timeout)".to_string(), |p| p.join(" > "));
-        let time = (dev.now() - t0).as_secs_f64();
+        let got = match outcome {
+            Some(Selection::EnteredSubmenu { label }) => label,
+            Some(Selection::Activated { path }) => path.join(" > "),
+            None => "(timeout)".to_string(),
+        };
         println!(
             "trial {:>2}: wanted {:<13} got {:<13} in {:>4.1} s  {}",
             trial + 1,
