@@ -67,12 +67,12 @@ const LOWER_REDRAW_TICKS: u64 = 25;
 fn build_recognizer(profile: &DeviceProfile, curve: &InverseCurveFit) -> AnyRecognizer {
     match profile.recognizer {
         crate::profile::RecognizerKind::Classic => {
-            AnyRecognizer::Classic(ClassicChain::new(&ClassicConfig {
+            AnyRecognizer::Classic(Box::new(ClassicChain::new(&ClassicConfig {
                 median_len: profile.filters.median_len,
                 ema_alpha: profile.filters.ema_alpha,
                 slew_max_codes: profile.filters.slew_max_codes,
                 slew_enabled: profile.filters.slew_gate && !profile.expert_foldback,
-            }))
+            })))
         }
         crate::profile::RecognizerKind::Segmented => {
             AnyRecognizer::Segmented(Box::new(Segmented::new(SegmentedConfig {
@@ -103,7 +103,7 @@ pub struct Firmware {
     log: EventLog,
     ticks: u64,
     /// `true` when (entries, highlight) changed since the last upper
-    /// redraw — the render is only built (and allocated) then.
+    /// redraw — the menu is only rendered then.
     upper_dirty: bool,
     last_upper: Vec<String>,
     last_lower: Vec<String>,
@@ -129,8 +129,10 @@ pub struct Firmware {
     /// next tick a state record is due.
     next_lower_redraw_tick: u64,
     next_state_record_tick: u64,
-    /// Reusable render target for the periodic status view, so the
-    /// steady-state tick allocates nothing.
+    /// Reusable render targets for the two panels, swapped with
+    /// `last_upper` / `last_lower` after a redraw, so redraws reuse the
+    /// line buffers instead of allocating.
+    upper_scratch: Vec<String>,
     lower_scratch: Vec<String>,
     /// Telemetry records produced since boot (state snapshots plus
     /// events) — the ground-truth denominator for delivery measurements.
@@ -181,6 +183,7 @@ impl Firmware {
             records_emitted: 0,
             next_lower_redraw_tick: LOWER_REDRAW_TICKS,
             next_state_record_tick: profile.telemetry_every_ticks,
+            upper_scratch: Vec::new(),
             lower_scratch: Vec::new(),
             profile,
             curve,
@@ -629,15 +632,19 @@ impl Firmware {
             }
             return self.emit_telemetry(board, rng, code, events_at_tick_start);
         }
-        // Render only when the menu or highlight changed: the render
-        // itself allocates, so the steady-state tick must skip it.
+        // Render only when the menu or highlight changed, and send only
+        // when the lines differ: I2C traffic is what a redraw costs.
         if self.upper_dirty {
-            let upper = ui::render_menu(self.nav.entries(), self.nav.highlighted());
-            if upper != self.last_upper {
-                for c in ui::encode_redraw(&upper) {
-                    board.write_display(DisplayRole::Upper, &c)?;
-                }
-                self.last_upper = upper;
+            ui::render_menu_into(
+                self.nav.entries(),
+                self.nav.highlighted(),
+                &mut self.upper_scratch,
+            );
+            if self.upper_scratch != self.last_upper {
+                ui::redraw(&self.upper_scratch, |c| {
+                    board.write_display(DisplayRole::Upper, c)
+                })?;
+                std::mem::swap(&mut self.last_upper, &mut self.upper_scratch);
             }
             self.upper_dirty = false;
         }
@@ -649,31 +656,21 @@ impl Firmware {
         if self.ticks == self.next_lower_redraw_tick {
             self.next_lower_redraw_tick += LOWER_REDRAW_TICKS;
             match &self.instruction {
-                Some(text) => {
-                    let lower = ui::render_instruction(text);
-                    if lower != self.last_lower {
-                        for c in ui::encode_redraw(&lower) {
-                            board.write_display(DisplayRole::Lower, &c)?;
-                        }
-                        self.last_lower = lower;
-                    }
-                }
-                None => {
-                    ui::render_status_into(
-                        code,
-                        self.last_distance,
-                        self.map_state.current(),
-                        self.nav.level(),
-                        board.battery_soc(),
-                        &mut self.lower_scratch,
-                    );
-                    if self.lower_scratch != self.last_lower {
-                        for c in ui::encode_redraw(&self.lower_scratch) {
-                            board.write_display(DisplayRole::Lower, &c)?;
-                        }
-                        std::mem::swap(&mut self.last_lower, &mut self.lower_scratch);
-                    }
-                }
+                Some(text) => ui::render_instruction_into(text, &mut self.lower_scratch),
+                None => ui::render_status_into(
+                    code,
+                    self.last_distance,
+                    self.map_state.current(),
+                    self.nav.level(),
+                    board.battery_soc(),
+                    &mut self.lower_scratch,
+                ),
+            }
+            if self.lower_scratch != self.last_lower {
+                ui::redraw(&self.lower_scratch, |c| {
+                    board.write_display(DisplayRole::Lower, c)
+                })?;
+                std::mem::swap(&mut self.last_lower, &mut self.lower_scratch);
             }
         }
 

@@ -7,16 +7,29 @@
 //! 5-line menu window with a highlight marker and a one-column scrollbar
 //! on the upper panel, and a status/debug view on the lower panel — and
 //! the command encoding that ships the lines over I2C.
+//!
+//! Every view renders into a caller-owned `Vec<String>` whose buffers it
+//! reuses, and [`redraw`] hands out the display commands from a stack
+//! buffer, so once the buffers have warmed up a redraw allocates nothing.
 
 use distscroll_hw::display::{cmd, TEXT_COLS, TEXT_LINES};
 
 use crate::menu::MenuNode;
 
+/// Resizes `out` to [`TEXT_LINES`] empty lines, keeping their capacity.
+fn clear_lines(out: &mut Vec<String>) {
+    out.resize_with(TEXT_LINES, String::new);
+    for line in out.iter_mut() {
+        line.clear();
+    }
+}
+
 /// Renders one menu level into exactly [`TEXT_LINES`] strings of at most
 /// [`TEXT_COLS`] characters: a `>` marker on the highlighted row, a
 /// scroll window that keeps the highlight visible, and a right-hand
 /// scrollbar column when the level does not fit.
-pub fn render_menu(entries: &[MenuNode], highlighted: usize) -> Vec<String> {
+pub fn render_menu_into(entries: &[MenuNode], highlighted: usize, out: &mut Vec<String>) {
+    clear_lines(out);
     let n = entries.len();
     let visible = TEXT_LINES;
     // Window start: keep the highlight inside, bias to centre.
@@ -31,17 +44,20 @@ pub fn render_menu(entries: &[MenuNode], highlighted: usize) -> Vec<String> {
     } else {
         TEXT_COLS - 1
     };
-    let mut lines = Vec::with_capacity(visible);
-    for row in 0..visible {
+    for (row, line) in out.iter_mut().enumerate() {
         let idx = start + row;
-        let mut line = String::with_capacity(TEXT_COLS);
-        if idx < n {
+        // Characters pushed so far; labels may hold multi-byte UTF-8.
+        let mut chars = 0;
+        if let Some(entry) = entries.get(idx) {
             line.push(if idx == highlighted { '>' } else { ' ' });
-            let label: String = entries[idx].label().chars().take(label_width).collect();
-            line.push_str(&label);
+            chars = 1;
+            for c in entry.label().chars().take(label_width) {
+                line.push(c);
+                chars += 1;
+            }
         }
         if needs_bar {
-            while line.chars().count() < TEXT_COLS - 1 {
+            for _ in chars..TEXT_COLS - 1 {
                 line.push(' ');
             }
             // Scrollbar thumb: the row proportional to the highlight.
@@ -52,41 +68,13 @@ pub fn render_menu(entries: &[MenuNode], highlighted: usize) -> Vec<String> {
             };
             line.push(if row == thumb_row { '#' } else { '|' });
         }
-        lines.push(line.trim_end().to_string());
+        line.truncate(line.trim_end().len());
     }
-    lines
 }
 
 /// Status view for the lower (debug) display, mirroring what the authors
 /// put there: the raw ADC code, the decoded distance, the selected
 /// island, the menu level and the battery state.
-pub fn render_status(
-    adc_code: u16,
-    distance_cm: Option<f64>,
-    island: Option<usize>,
-    level: usize,
-    battery_soc: f64,
-) -> Vec<String> {
-    let dist = match distance_cm {
-        Some(cm) => format!("{cm:>5.1}cm"),
-        None => "  --.-cm".trim_start().to_string(),
-    };
-    let isl = match island {
-        Some(i) => format!("{i}"),
-        None => "-".to_string(),
-    };
-    vec![
-        format!("adc {adc_code:>4}"),
-        format!("d   {dist}"),
-        format!("isl {isl}  lvl {level}"),
-        format!("bat {:>3.0}%", battery_soc * 100.0),
-        String::new(),
-    ]
-}
-
-/// [`render_status`] into a caller-owned buffer: same five lines, byte
-/// for byte, but reusing the strings' capacity so the firmware's
-/// steady-state periodic redraw check allocates nothing.
 pub fn render_status_into(
     adc_code: u16,
     distance_cm: Option<f64>,
@@ -96,10 +84,7 @@ pub fn render_status_into(
     out: &mut Vec<String>,
 ) {
     use std::fmt::Write as _;
-    out.resize_with(TEXT_LINES, String::new);
-    for line in out.iter_mut() {
-        line.clear();
-    }
+    clear_lines(out);
     // Writing to a String cannot fail; errors are structurally impossible.
     let _ = write!(out[0], "adc {adc_code:>4}");
     match distance_cm {
@@ -121,10 +106,12 @@ pub fn render_status_into(
 
 /// Study-instruction view for the lower display (§6): the task prompt,
 /// word-wrapped to the 16-column panel, at most [`TEXT_LINES`] lines.
-pub fn render_instruction(text: &str) -> Vec<String> {
-    let mut lines = vec!["Find:".to_string()];
-    let mut current = String::new();
+pub fn render_instruction_into(text: &str, out: &mut Vec<String>) {
+    clear_lines(out);
+    out[0].push_str("Find:");
+    let mut row = 1;
     for word in text.split_whitespace() {
+        let current = &mut out[row];
         let candidate_len = current.len() + usize::from(!current.is_empty()) + word.len();
         if candidate_len <= TEXT_COLS {
             if !current.is_empty() {
@@ -133,37 +120,41 @@ pub fn render_instruction(text: &str) -> Vec<String> {
             current.push_str(word);
         } else {
             if !current.is_empty() {
-                lines.push(std::mem::take(&mut current));
+                row += 1;
+                if row == TEXT_LINES {
+                    break;
+                }
             }
             // Over-long single words are truncated, as the panel would.
-            current = word.chars().take(TEXT_COLS).collect();
-        }
-        if lines.len() == TEXT_LINES {
-            break;
+            out[row].extend(word.chars().take(TEXT_COLS));
         }
     }
-    if !current.is_empty() && lines.len() < TEXT_LINES {
-        lines.push(current);
-    }
-    lines.resize(TEXT_LINES, String::new());
-    lines
 }
 
-/// Encodes a full-screen redraw of `lines` as a sequence of display
-/// command payloads (clear, then per-line cursor + text).
-pub fn encode_redraw(lines: &[String]) -> Vec<Vec<u8>> {
-    let mut cmds = Vec::with_capacity(1 + lines.len());
-    cmds.push(vec![cmd::CLEAR]);
+/// Sends a full-screen redraw of `lines` as display commands (clear,
+/// then per non-empty line a cursor move and the text), stopping at the
+/// first error `send` returns. Each command is built in one stack
+/// buffer, so a redraw allocates nothing.
+///
+/// # Errors
+///
+/// The first error `send` returns.
+pub fn redraw<E>(lines: &[String], mut send: impl FnMut(&[u8]) -> Result<(), E>) -> Result<(), E> {
+    send(&[cmd::CLEAR])?;
+    let mut text = [cmd::WRITE_TEXT; 1 + TEXT_COLS];
     for (row, line) in lines.iter().take(TEXT_LINES).enumerate() {
         if line.is_empty() {
             continue;
         }
-        cmds.push(vec![cmd::SET_CURSOR, row as u8, 0]);
-        let mut text = vec![cmd::WRITE_TEXT];
-        text.extend(line.bytes().take(TEXT_COLS));
-        cmds.push(text);
+        send(&[cmd::SET_CURSOR, row as u8, 0])?;
+        let mut len = 1;
+        for b in line.bytes().take(TEXT_COLS) {
+            text[len] = b;
+            len += 1;
+        }
+        send(&text[..len])?;
     }
-    cmds
+    Ok(())
 }
 
 #[cfg(test)]
@@ -173,6 +164,41 @@ mod tests {
 
     fn entries(n: usize) -> Vec<MenuNode> {
         Menu::flat(n).root().children().to_vec()
+    }
+
+    fn render_menu(entries: &[MenuNode], highlighted: usize) -> Vec<String> {
+        let mut out = Vec::new();
+        render_menu_into(entries, highlighted, &mut out);
+        out
+    }
+
+    fn render_status(
+        adc_code: u16,
+        distance_cm: Option<f64>,
+        island: Option<usize>,
+        level: usize,
+        battery_soc: f64,
+    ) -> Vec<String> {
+        let mut out = Vec::new();
+        render_status_into(adc_code, distance_cm, island, level, battery_soc, &mut out);
+        out
+    }
+
+    fn render_instruction(text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        render_instruction_into(text, &mut out);
+        out
+    }
+
+    /// The commands [`redraw`] sends, collected.
+    fn redraw_commands(lines: &[String]) -> Vec<Vec<u8>> {
+        let mut cmds = Vec::new();
+        let sent: Result<(), ()> = redraw(lines, |c| {
+            cmds.push(c.to_vec());
+            Ok(())
+        });
+        assert_eq!(sent, Ok(()));
+        cmds
     }
 
     #[test]
@@ -241,18 +267,45 @@ mod tests {
     }
 
     #[test]
-    fn status_into_matches_the_allocating_render_byte_for_byte() {
-        let cases = [
-            (512u16, Some(17.3), Some(4usize), 2usize, 0.83),
-            (0, None, None, 0, 1.0),
-            (1023, Some(4.0), Some(0), 7, 0.0),
-            (7, Some(29.96), None, 1, 0.555),
-        ];
-        let mut buf = vec!["stale junk".to_string(); 3];
-        for (code, dist, isl, lvl, soc) in cases {
-            render_status_into(code, dist, isl, lvl, soc, &mut buf);
-            assert_eq!(buf, render_status(code, dist, isl, lvl, soc));
-        }
+    fn renders_reuse_stale_buffers_byte_for_byte() {
+        let e = entries(20);
+        let mut buf = vec!["stale junk that is longer than a line".to_string(); 7];
+        render_menu_into(&e, 7, &mut buf);
+        assert_eq!(buf, render_menu(&e, 7));
+        render_status_into(512, Some(17.3), Some(4), 2, 0.83, &mut buf);
+        assert_eq!(
+            buf,
+            ["adc  512", "d    17.3cm", "isl 4  lvl 2", "bat  83%", ""]
+        );
+        render_status_into(0, None, None, 0, 1.0, &mut buf);
+        assert_eq!(
+            buf,
+            ["adc    0", "d   --.-cm", "isl -  lvl 0", "bat 100%", ""]
+        );
+        render_status_into(1023, Some(4.0), Some(0), 7, 0.0, &mut buf);
+        assert_eq!(
+            buf,
+            ["adc 1023", "d     4.0cm", "isl 0  lvl 7", "bat   0%", ""]
+        );
+        render_status_into(7, Some(29.96), None, 1, 0.555, &mut buf);
+        assert_eq!(
+            buf,
+            ["adc    7", "d    30.0cm", "isl -  lvl 1", "bat  56%", ""]
+        );
+        render_instruction_into("the Ringing tone", &mut buf);
+        assert_eq!(buf, ["Find:", "the Ringing tone", "", "", ""]);
+        render_menu_into(&e[..2], 1, &mut buf);
+        assert_eq!(buf, [" Item 00", ">Item 01", "", "", ""]);
+    }
+
+    #[test]
+    fn multibyte_labels_pad_by_characters() {
+        let e: Vec<MenuNode> = (0..6)
+            .map(|i| MenuNode::leaf(format!("Grüße {i}")))
+            .collect();
+        let lines = render_menu(&e, 0);
+        assert_eq!(lines[0], ">Grüße 0       #");
+        assert!(lines.iter().all(|l| l.chars().count() == TEXT_COLS));
     }
 
     #[test]
@@ -284,25 +337,46 @@ mod tests {
     }
 
     #[test]
-    fn encode_redraw_clears_then_writes() {
-        let cmds = encode_redraw(&["Hello".to_string(), String::new(), "World".to_string()]);
+    fn redraw_clears_then_writes() {
+        let cmds = redraw_commands(&["Hello".to_string(), String::new(), "World".to_string()]);
         assert_eq!(cmds[0], vec![cmd::CLEAR]);
         assert_eq!(cmds[1], vec![cmd::SET_CURSOR, 0, 0]);
-        assert_eq!(&cmds[2][1..], b"Hello");
+        assert_eq!(cmds[2], b"\x03Hello");
         // The empty line is skipped: next cursor goes to row 2.
         assert_eq!(cmds[3], vec![cmd::SET_CURSOR, 2, 0]);
+        assert_eq!(cmds[4], b"\x03World");
+        assert_eq!(cmds.len(), 5);
     }
 
     #[test]
-    fn encode_redraw_round_trips_through_a_display() {
+    fn redraw_clips_lines_at_the_panel_width() {
+        let cmds = redraw_commands(&["x".repeat(40)]);
+        assert_eq!(cmds[2].len(), 1 + TEXT_COLS);
+    }
+
+    #[test]
+    fn redraw_stops_at_the_first_error() {
+        let mut sent = 0;
+        let result = redraw(&["a".to_string(), "b".to_string()], |_| {
+            sent += 1;
+            if sent == 2 {
+                Err("nack")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(result, Err("nack"));
+        assert_eq!(sent, 2);
+    }
+
+    #[test]
+    fn redraw_round_trips_through_a_display() {
         use distscroll_hw::display::{Bt96040, DisplayRole};
         use distscroll_hw::i2c::I2cDevice;
         let mut d = Bt96040::new(0x3c, DisplayRole::Upper);
         let e = entries(3);
         let lines = render_menu(&e, 2);
-        for c in encode_redraw(&lines) {
-            d.write(&c).unwrap();
-        }
+        redraw(&lines, |c| d.write(c)).unwrap();
         assert_eq!(d.line(2), ">Item 02");
     }
 }

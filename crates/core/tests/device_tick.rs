@@ -1,8 +1,9 @@
 //! The device tick is one firmware tick followed by one board step of
 //! the tick period, and `run_for_ms` is that tick in a loop. These tests
-//! hold the loop to its parts: the panels' O(1) ink caches against a
-//! full recount under real firmware traffic, `run_for_ms` against the
-//! same number of single ticks, and a golden record of a long run.
+//! hold the loop to its parts: the panels' O(1) ink caches and the
+//! board's cached lit total against a full recount under real firmware
+//! traffic, `run_for_ms` against the same number of single ticks, and
+//! two golden records: a long run at rest and a scripted redraw sweep.
 
 #![expect(
     clippy::expect_used,
@@ -11,7 +12,7 @@
 
 use distscroll_core::device::DistScrollDevice;
 use distscroll_core::events::TimedEvent;
-use distscroll_core::menu::Menu;
+use distscroll_core::menu::{Menu, MenuNode};
 use distscroll_core::profile::DeviceProfile;
 use distscroll_hw::board::Telemetry;
 use distscroll_hw::display::DisplayRole;
@@ -31,10 +32,12 @@ fn drained(dev: &mut DistScrollDevice) -> (Vec<TimedEvent>, Vec<Telemetry>) {
     (events, frames)
 }
 
-/// One tick, then both panels' cached ink totals checked against a scan
-/// of their text buffers through the font table.
+/// One tick, then both panels' cached ink totals, and the board's cached
+/// sum of them, checked against a scan of the text buffers through the
+/// font table.
 fn tick_checked(dev: &mut DistScrollDevice) {
     dev.tick().expect("fresh battery");
+    let mut recounted = 0;
     for role in [DisplayRole::Upper, DisplayRole::Lower] {
         let panel = dev.board().display(role);
         assert_eq!(
@@ -43,7 +46,14 @@ fn tick_checked(dev: &mut DistScrollDevice) {
             "{role:?} ink cache diverged from the recount at {:?}",
             dev.now()
         );
+        recounted += panel.recount_lit_pixels();
     }
+    assert_eq!(
+        dev.board().lit_pixels(),
+        recounted,
+        "the board's lit total diverged from the panels at {:?}",
+        dev.now()
+    );
 }
 
 #[test]
@@ -161,4 +171,96 @@ fn twenty_thousand_ticks_match_the_golden_record() {
     assert_eq!(events.len(), 3);
     assert_eq!(frames.len(), 2003);
     assert_eq!(hash, 0x6913_efba_6b8c_5f19);
+}
+
+/// A two-level menu whose levels overflow the five-line panel, so the
+/// upper display scrolls, draws its scrollbar and truncates long labels.
+/// Group 2's labels carry non-ASCII characters, which the panel shows as
+/// one `?` per UTF-8 byte.
+fn sweep_menu() -> Menu {
+    let groups = (0..7)
+        .map(|g| {
+            let leaves = (0..9)
+                .map(|l| match g {
+                    2 => MenuNode::leaf(format!("Töne {l} – Grüße aus Köln")),
+                    _ => MenuNode::leaf(format!("{g}.{l} entry of group {g}")),
+                })
+                .collect();
+            let label = match g {
+                2 => "Grüße".to_string(),
+                _ => format!("Group {g}"),
+            };
+            MenuNode::submenu(label, leaves)
+        })
+        .collect();
+    Menu::new(MenuNode::submenu("root", groups))
+}
+
+/// A golden record of a scripted 6,000-tick sweep that exercises every
+/// redraw path: the hand sweeps back and forth across the scroll range
+/// (highlight changes), select and back clicks enter and leave the
+/// submenus, and a study instruction replaces the status view for a
+/// while. Pinned: both panels' final text rows, their lit totals, a hash
+/// of both panels' art after every tick, the battery bits, the event
+/// count and a hash of every telemetry byte.
+#[test]
+fn scripted_redraw_sweep_matches_the_golden_record() {
+    let mut dev = DistScrollDevice::new(DeviceProfile::paper(), sweep_menu(), 20050607);
+    let mut art_hash = 0xcbf2_9ce4_8422_2325;
+    for tick in 0u64..6_000 {
+        // A triangle wave between 5 and 33 cm with a 1,400-tick period.
+        let phase = tick % 1_400;
+        let cm = if phase < 700 {
+            5.0 + 28.0 * phase as f64 / 700.0
+        } else {
+            33.0 - 28.0 * (phase - 700) as f64 / 700.0
+        };
+        dev.set_distance(cm);
+        match tick % 900 {
+            450 => dev.press_select(),
+            462 => dev.release_select(),
+            _ => {}
+        }
+        match tick % 1_300 {
+            1_000 => dev.press_back(),
+            1_012 => dev.release_back(),
+            _ => {}
+        }
+        match tick {
+            2_500 => dev.set_instruction(Some("the Ringing tone entry under Tone settings")),
+            4_000 => dev.set_instruction(None),
+            _ => {}
+        }
+        tick_checked(&mut dev);
+        art_hash = fnv1a(art_hash, dev.upper_display_art().as_bytes());
+        art_hash = fnv1a(art_hash, dev.lower_display_art().as_bytes());
+    }
+    let (events, frames) = drained(&mut dev);
+    let telemetry_hash = frames
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, t| fnv1a(h, &t.bytes));
+    let upper = dev.board().display(DisplayRole::Upper);
+    let lower = dev.board().display(DisplayRole::Lower);
+    assert_eq!(
+        upper.lines(),
+        [
+            " 4.1 entry of g|",
+            " 4.2 entry of g#",
+            ">4.3 entry of g|",
+            " 4.4 entry of g|",
+            " 4.5 entry of g|",
+        ]
+    );
+    assert_eq!(
+        lower.lines(),
+        ["adc  103", "d    21.0cm", "isl 3  lvl 1", "bat 100%", ""]
+    );
+    assert_eq!((upper.lit_pixels(), lower.lit_pixels()), (699, 355));
+    assert_eq!((upper.clear_count(), lower.clear_count()), (77, 178));
+    assert_eq!(art_hash, 0x68c7_858d_d42b_5eac);
+    assert_eq!(dev.now().as_micros(), 60_000_000);
+    assert_eq!(dev.board().battery_soc().to_bits(), 0x3fef_f606_0a7a_d721);
+    assert_eq!(events.len(), 79);
+    assert_eq!(frames.len(), 679);
+    assert_eq!(telemetry_hash, 0x22a7_ca1d_a626_cede);
 }

@@ -5,9 +5,10 @@
 //! A counting wrapper around the system allocator tallies allocation
 //! calls per thread (the test harness itself runs multi-threaded, so a
 //! process-global counter would pick up other tests' traffic). The
-//! profile is the PDA add-on — the onboard panels are powered down and
-//! the host renders from telemetry — because that is the configuration
-//! whose trial loops the eval harness runs hottest.
+//! first test runs the PDA add-on — the onboard panels are powered down
+//! and the host renders from telemetry — because that is the
+//! configuration whose trial loops the eval harness runs hottest; the
+//! second runs the paper profile, whose panels redraw over I2C.
 
 #![expect(
     clippy::expect_used,
@@ -108,4 +109,34 @@ fn steady_state_tick_and_poll_allocate_nothing() {
         allocated, 0,
         "steady-state tick + poll_events + poll_telemetry must not allocate"
     );
+}
+
+/// The same loop with both onboard panels lit: the lower panel's status
+/// view redraws over I2C while the window runs, and the render and the
+/// display commands reuse their buffers, so nothing allocates.
+#[test]
+fn steady_state_panel_redraws_allocate_nothing() {
+    use distscroll_hw::display::DisplayRole;
+
+    let mut dev = DistScrollDevice::new(DeviceProfile::paper(), Menu::flat(8), 20050607);
+    dev.set_battery(Battery::with_capacity(1e12));
+    dev.set_distance(15.0);
+
+    let mut events = 0u64;
+    let mut frames = 0u64;
+    for _ in 0..2_000 {
+        tick_and_poll(&mut dev, &mut events, &mut frames);
+    }
+
+    let redraws_before = dev.board().display(DisplayRole::Lower).clear_count();
+    let events_before = events;
+    let before = allocations_on_this_thread();
+    for _ in 0..1_000 {
+        tick_and_poll(&mut dev, &mut events, &mut frames);
+    }
+    let allocated = allocations_on_this_thread() - before;
+    let redraws = dev.board().display(DisplayRole::Lower).clear_count() - redraws_before;
+    assert!(redraws > 0, "the status view must redraw during the window");
+    assert_eq!(events, events_before, "the hand holds still: no events");
+    assert_eq!(allocated, 0, "{redraws} status redraws must not allocate");
 }

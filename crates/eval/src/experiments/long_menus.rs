@@ -49,14 +49,8 @@ pub struct LongTrial {
 }
 
 /// Runs one trial with the continuous strategy: plain positional aiming
-/// over N hair-thin islands.
-pub fn run_continuous_trial(
-    n: usize,
-    start: usize,
-    target: usize,
-    user: &UserParams,
-    seed: u64,
-) -> LongTrial {
+/// over N hair-thin islands, from entry 0's island to `target`.
+pub fn run_continuous_trial(n: usize, target: usize, user: &UserParams, seed: u64) -> LongTrial {
     let mut rng = StdRng::seed_from_u64(seed);
     let profile = DeviceProfile {
         long_menu: LongMenuStrategy::Continuous,
@@ -64,7 +58,7 @@ pub fn run_continuous_trial(
     };
     let mut dev = DistScrollDevice::new(profile.clone(), Menu::flat(n), rng.gen());
     let geometry = user_geometry(&profile, n);
-    let start_cm = geometry.entry_position_cm(start);
+    let start_cm = geometry.entry_position_cm(0);
     dev.set_distance(start_cm);
     if dev.run_for_ms(500).is_err() {
         return LongTrial {
@@ -86,18 +80,13 @@ pub fn run_continuous_trial(
 }
 
 /// Runs one trial with the chunked strategy: dwell past the edges to
-/// page, then aim locally within the 10-entry page.
+/// page, then aim locally within the 10-entry page. The hand starts on
+/// entry 0's island.
 #[expect(
     clippy::unreachable,
     reason = "paper_chunked() constructs the Chunked variant by definition"
 )]
-pub fn run_chunked_trial(
-    n: usize,
-    start: usize,
-    target: usize,
-    user: &UserParams,
-    seed: u64,
-) -> LongTrial {
+pub fn run_chunked_trial(n: usize, target: usize, user: &UserParams, seed: u64) -> LongTrial {
     let mut rng = StdRng::seed_from_u64(seed);
     let strategy = LongMenuStrategy::paper_chunked();
     let page_size = match strategy {
@@ -115,7 +104,7 @@ pub fn run_chunked_trial(
     let target_page = target / page_size;
     let target_local = target % page_size;
 
-    dev.set_distance(geometry.entry_position_cm(start.min(page_size - 1)));
+    dev.set_distance(geometry.entry_position_cm(0));
     if dev.run_for_ms(500).is_err() {
         return LongTrial {
             time_s: 0.0,
@@ -184,13 +173,7 @@ pub fn run_chunked_trial(
 /// Runs one trial with the SDAZ rate-control strategy: hold a
 /// displacement from the range centre proportional to the remaining
 /// error, recentre when close, confirm.
-pub fn run_sdaz_trial(
-    n: usize,
-    _start: usize,
-    target: usize,
-    user: &UserParams,
-    seed: u64,
-) -> LongTrial {
+pub fn run_sdaz_trial(n: usize, target: usize, user: &UserParams, seed: u64) -> LongTrial {
     let mut rng = StdRng::seed_from_u64(seed);
     let profile = DeviceProfile {
         long_menu: LongMenuStrategy::paper_sdaz(),
@@ -208,8 +191,8 @@ pub fn run_sdaz_trial(
             timed_out: true,
         };
     }
-    // The firmware's rate controller starts at entry 0 whatever the
-    // start entry, so the trial clock starts there after the settle.
+    // The firmware's rate controller starts at entry 0, so the trial
+    // clock starts there after the settle.
     dev.poll_events(&mut |_: &TimedEvent| {});
 
     let t0 = dev.now();
@@ -309,22 +292,15 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
         for (name, f) in [
             (
                 "continuous",
-                run_continuous_trial as fn(usize, usize, usize, &UserParams, u64) -> LongTrial,
+                run_continuous_trial as fn(usize, usize, &UserParams, u64) -> LongTrial,
             ),
             ("chunked-10", run_chunked_trial),
             ("sdaz", run_sdaz_trial),
         ] {
             let mut results = Vec::with_capacity(trials);
             for k in 0..trials {
-                let start = 0;
                 let target = rng.gen_range(n / 2..n); // long-menu tasks aim deep
-                results.push(f(
-                    n,
-                    start,
-                    target,
-                    &user,
-                    seed ^ (k as u64) << 5 ^ n as u64,
-                ));
+                results.push(f(n, target, &user, seed ^ (k as u64) << 5 ^ n as u64));
             }
             let correct = results.iter().filter(|r| r.correct).count();
             let timeouts = results.iter().filter(|r| r.timed_out).count();
@@ -389,20 +365,20 @@ mod tests {
 
     #[test]
     fn chunked_trial_completes() {
-        let r = run_chunked_trial(50, 0, 37, &UserParams::expert(), 3);
+        let r = run_chunked_trial(50, 37, &UserParams::expert(), 3);
         assert!(!r.timed_out, "chunked navigation should finish: {r:?}");
     }
 
     #[test]
     fn sdaz_trial_completes() {
-        let r = run_sdaz_trial(50, 0, 30, &UserParams::expert(), 4);
+        let r = run_sdaz_trial(50, 30, &UserParams::expert(), 4);
         assert!(!r.timed_out, "sdaz navigation should finish: {r:?}");
     }
 
     #[test]
     fn continuous_degrades_on_big_menus() {
         let ok = (0..4)
-            .filter(|&s| run_continuous_trial(200, 0, 150, &UserParams::expert(), s).correct)
+            .filter(|&s| run_continuous_trial(200, 150, &UserParams::expert(), s).correct)
             .count();
         assert!(
             ok <= 2,

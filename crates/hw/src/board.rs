@@ -129,6 +129,10 @@ pub struct Board {
     channels: [Option<Box<dyn VoltageSource>>; 4],
     buttons: [Button; 3],
     bus: I2cBus,
+    /// Both panels' lit pixels, refreshed after every display write (the
+    /// only thing that changes a panel), so the per-tick power step
+    /// reads a field instead of finding the panels on the bus.
+    lit_pixels: u32,
     pot: Potentiometer,
     battery: Battery,
     load: LoadProfile,
@@ -190,6 +194,7 @@ impl Board {
                 Button::new(ButtonId::LeftLower),
             ],
             bus,
+            lit_pixels: 0, // fresh panels are blank
             pot: Potentiometer::new(5.0),
             battery: Battery::fresh(),
             load: LoadProfile::distscroll(),
@@ -242,13 +247,11 @@ impl Board {
     }
 
     /// Advances simulated time by `dt`, draining the battery according to
-    /// the current display and sensor load. The display load reads the
-    /// panels' O(1) ink caches, so this is cheap enough to run on every
-    /// device tick.
+    /// the current display and sensor load. The display load is the
+    /// cached [`Board::lit_pixels`], so this is cheap enough to run on
+    /// every device tick.
     pub fn step(&mut self, dt: SimDuration) {
-        let lit = self.display(DisplayRole::Upper).lit_pixels()
-            + self.display(DisplayRole::Lower).lit_pixels();
-        let mut load = self.load.total_ma(lit, false);
+        let mut load = self.load.total_ma(self.lit_pixels, false);
         if !self.sensor_powered {
             load -= self.load.sensor_ma;
         }
@@ -369,10 +372,20 @@ impl Board {
             DisplayRole::Upper => UPPER_DISPLAY_ADDR,
             DisplayRole::Lower => LOWER_DISPLAY_ADDR,
         };
-        let wire_time = self.bus.write(addr, bytes)?;
+        let written = self.bus.write(addr, bytes);
+        // Refreshed whatever the outcome, so no failure path can leave
+        // the total stale.
+        self.lit_pixels = self.display(DisplayRole::Upper).lit_pixels()
+            + self.display(DisplayRole::Lower).lit_pixels();
         // The PIC bit-bangs/waits the transfer: cycles ~ microseconds.
-        self.mcu.charge(wire_time.as_micros());
+        self.mcu.charge(written?.as_micros());
         Ok(())
+    }
+
+    /// Lit pixels across both panels: what the power model draws display
+    /// current for.
+    pub fn lit_pixels(&self) -> u32 {
+        self.lit_pixels
     }
 
     /// Read-only view of a display's state.

@@ -168,7 +168,7 @@ impl Bt96040 {
         self.text
             .iter()
             .flat_map(|line| line.iter())
-            .map(|&b| font::ink(b as char))
+            .map(|&b| u32::from(font::INK[usize::from(b)]))
             .sum()
     }
 
@@ -251,8 +251,8 @@ impl I2cDevice for Bt96040 {
                     }
                     let stored = if (0x20..=0x7e).contains(&b) { b } else { b'?' };
                     let cell = &mut self.text[self.cursor_line][self.cursor_col];
-                    self.ink_total += font::ink(stored as char);
-                    self.ink_total -= font::ink(*cell as char);
+                    self.ink_total += u32::from(font::INK[usize::from(stored)]);
+                    self.ink_total -= u32::from(font::INK[usize::from(*cell)]);
                     *cell = stored;
                     self.cursor_col += 1;
                 }

@@ -91,11 +91,12 @@ pub trait Recognizer {
 
 /// A concrete recognizer chosen by the device profile — an enum rather
 /// than a trait object so the firmware stays `Debug` and statically
-/// dispatched on the hot path.
+/// dispatched on the hot path. Both variants are boxed, so the enum is a
+/// pointer whatever either engine's window buffers cost.
 #[derive(Debug, Clone)]
 pub enum AnyRecognizer {
     /// The paper's filter chain.
-    Classic(ClassicChain),
+    Classic(Box<ClassicChain>),
     /// The stream-segmented state machine.
     Segmented(Box<Segmented>),
 }
@@ -152,7 +153,7 @@ mod tests {
 
     #[test]
     fn any_recognizer_dispatches_names() {
-        let c = AnyRecognizer::Classic(ClassicChain::new(&ClassicConfig::paper()));
+        let c = AnyRecognizer::Classic(Box::new(ClassicChain::new(&ClassicConfig::paper())));
         assert_eq!(c.name(), "classic-chain");
         assert!(c.cycle_budget() > 0);
         assert!(c.ram_bytes() > 0);

@@ -7,7 +7,11 @@
 //! performing the exact same `f64` operations in the same order, so
 //! this suite replays deterministic and property-generated code streams
 //! through both and demands tick-for-tick identical output — in both
-//! gating modes, and across a mid-stream reset.
+//! gating modes, and across a mid-stream reset. The replica sorts its
+//! median window afresh on every push, so the suite also holds the
+//! incremental [`MedianFilter`] window to a full sort.
+//!
+//! [`MedianFilter`]: distscroll_sensors::filter::MedianFilter
 
 #![expect(
     clippy::disallowed_methods,
@@ -15,15 +19,48 @@
 )]
 
 use distscroll_recognizer::{ClassicChain, ClassicConfig, Recognizer, SLEW_GIVE_UP_TICKS};
-use distscroll_sensors::filter::{Ema, MedianFilter, SlewGate};
+use distscroll_sensors::filter::{Ema, SlewGate};
 use proptest::prelude::*;
+use std::collections::VecDeque;
+
+/// The median stage as it stood before the incremental window: copy the
+/// last `len` samples and sort them by `total_cmp` on every push. Kept
+/// here as its own code so the A/B does not compare `MedianFilter` with
+/// itself.
+struct SortedMedian {
+    window: VecDeque<f64>,
+    len: usize,
+}
+
+impl SortedMedian {
+    fn new(len: usize) -> Self {
+        SortedMedian {
+            window: VecDeque::with_capacity(len),
+            len,
+        }
+    }
+
+    fn push(&mut self, x: f64) -> f64 {
+        if self.window.len() == self.len {
+            self.window.pop_front();
+        }
+        self.window.push_back(x);
+        let mut sorted: Vec<f64> = self.window.iter().copied().collect();
+        sorted.sort_by(f64::total_cmp);
+        sorted[sorted.len() / 2]
+    }
+
+    fn reset(&mut self) {
+        self.window.clear();
+    }
+}
 
 /// The pre-refactor inline chain, copied operation for operation from
 /// the firmware's tick step 1 as it stood before the extraction
 /// (`git show`: `x = slew.push(x)` under the profile gate, then
 /// `median.push`, then `ema.push`, then round-and-clamp to a code).
 struct InlineChain {
-    median: MedianFilter,
+    median: SortedMedian,
     ema: Ema,
     slew: SlewGate,
     gate_on: bool,
@@ -32,7 +69,7 @@ struct InlineChain {
 impl InlineChain {
     fn new(cfg: &ClassicConfig) -> Self {
         InlineChain {
-            median: MedianFilter::new(cfg.median_len),
+            median: SortedMedian::new(cfg.median_len),
             ema: Ema::new(cfg.ema_alpha),
             slew: SlewGate::new(cfg.slew_max_codes, SLEW_GIVE_UP_TICKS),
             gate_on: cfg.slew_enabled,

@@ -20,10 +20,28 @@ use std::collections::VecDeque;
 /// Window length is a runtime parameter (the E7 ablation sweeps it), but
 /// memory stays bounded: the filter refuses windows longer than 15
 /// samples, which would not fit the PIC's budget anyway.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Beside the arrival-order window the filter keeps the same samples
+/// sorted by [`f64::total_cmp`], so a push removes one entry and inserts
+/// one instead of re-sorting the window every tick. Values equal under
+/// `total_cmp` have identical bits, so the median is the one a full sort
+/// would pick for every input, NaN and ±0 included.
+#[derive(Debug, Clone)]
 pub struct MedianFilter {
     window: VecDeque<f64>,
+    /// `sorted[..window.len()]` holds the window in `total_cmp` order;
+    /// the entries past it are stale.
+    sorted: [f64; 15],
     len: usize,
+}
+
+impl PartialEq for MedianFilter {
+    fn eq(&self, other: &Self) -> bool {
+        let n = self.window.len();
+        self.len == other.len
+            && self.window == other.window
+            && self.sorted[..n] == other.sorted[..n]
+    }
 }
 
 impl MedianFilter {
@@ -40,6 +58,7 @@ impl MedianFilter {
         );
         MedianFilter {
             window: VecDeque::with_capacity(len),
+            sorted: [0.0; 15],
             len,
         }
     }
@@ -49,20 +68,34 @@ impl MedianFilter {
     /// Until the window has filled, the median of the samples seen so far
     /// is returned (standard warm-up behaviour).
     pub fn push(&mut self, x: f64) -> f64 {
-        if self.window.len() == self.len {
-            self.window.pop_front();
-        }
-        self.window.push_back(x);
-        // Sort into a fixed stack buffer: the window is capped at 15
-        // samples and this runs once per firmware tick, so the steady
-        // state must not touch the heap.
-        let mut sorted = [0.0f64; 15];
+        use std::cmp::Ordering::{Greater, Less};
         let n = self.window.len();
-        for (slot, &v) in sorted.iter_mut().zip(self.window.iter()) {
-            *slot = v;
+        let sorted = &mut self.sorted;
+        // The hole the new sample moves into: one past the end while the
+        // window warms up, else the outgoing sample's slot. Entries shift
+        // in plain loops rather than `copy_within`: at most 15 move, and a
+        // `memmove` call costs more than the shifts themselves.
+        let mut i = n;
+        if n == self.len {
+            if let Some(old) = self.window.pop_front() {
+                let old = old.to_bits();
+                i = 0;
+                while sorted[i].to_bits() != old {
+                    i += 1;
+                }
+                while i + 1 < n && sorted[i + 1].total_cmp(&x) == Less {
+                    sorted[i] = sorted[i + 1];
+                    i += 1;
+                }
+            }
         }
-        sorted[..n].sort_by(|a, b| a.total_cmp(b));
-        sorted[n / 2]
+        while i > 0 && sorted[i - 1].total_cmp(&x) == Greater {
+            sorted[i] = sorted[i - 1];
+            i -= 1;
+        }
+        sorted[i] = x;
+        self.window.push_back(x);
+        sorted[self.window.len() / 2]
     }
 
     /// Bytes of state this window costs on the PIC (2-byte samples).
@@ -291,6 +324,7 @@ impl Hysteresis {
 )]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn median_kills_single_outliers() {
@@ -319,6 +353,65 @@ mod tests {
         }
         assert_eq!(m.push(5.0), 0.0, "first sample of a step is outvoted");
         assert_eq!(m.push(5.0), 5.0, "majority reached");
+    }
+
+    /// The median a full copy-and-sort of `window` picks: the reference
+    /// the incremental filter is held to.
+    fn sorted_median(window: &VecDeque<f64>) -> f64 {
+        let mut v: Vec<f64> = window.iter().copied().collect();
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    }
+
+    /// Maps a generated `(selector, value)` pair onto a stream that is
+    /// mostly special values: heavy duplicates, both zeros, NaNs with
+    /// different signs and payloads, and infinities.
+    fn stream_sample((selector, value): (u8, f64)) -> f64 {
+        match selector % 12 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::NAN,
+            3 => -f64::NAN,
+            4 => f64::from_bits(0x7ff0_0000_0000_0001),
+            5 => f64::INFINITY,
+            6 => f64::NEG_INFINITY,
+            7 => 1.0,
+            8 => -2.5,
+            _ => value,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn incremental_median_equals_a_full_sort(
+            half in 0usize..8,
+            samples in collection::vec((any::<u8>(), any::<f64>()), 0..120),
+            reset_at in 0usize..120,
+        ) {
+            let len = 2 * half + 1;
+            let mut m = MedianFilter::new(len);
+            let mut reference = VecDeque::new();
+            for (i, &pair) in samples.iter().enumerate() {
+                if i == reset_at {
+                    m.reset();
+                    reference.clear();
+                }
+                let x = stream_sample(pair);
+                if reference.len() == len {
+                    reference.pop_front();
+                }
+                reference.push_back(x);
+                let got = m.push(x);
+                let want = sorted_median(&reference);
+                prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "window {} sample {}: {} vs {}", len, i, got, want
+                );
+            }
+        }
     }
 
     #[test]
