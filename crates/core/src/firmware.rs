@@ -728,7 +728,7 @@ impl Firmware {
             self.records_emitted += 1;
             match self.arq_tx.as_mut() {
                 Some(tx) => {
-                    tx.enqueue(ArqClass::State, &payload, self.ticks);
+                    tx.enqueue(ArqClass::State, &payload, self.ticks)?;
                 }
                 None => board.send_telemetry(&payload, rng),
             }
@@ -743,7 +743,7 @@ impl Firmware {
             self.records_emitted += 1;
             match self.arq_tx.as_mut() {
                 Some(tx) => {
-                    tx.enqueue(ArqClass::Event, &payload, self.ticks);
+                    tx.enqueue(ArqClass::Event, &payload, self.ticks)?;
                 }
                 None => board.send_telemetry(&payload, rng),
             }

@@ -368,7 +368,7 @@ pub fn run_arq(input: &[u8]) -> Outcome {
 
     let mut rng = StdRng::seed_from_u64(fnv1a(input) ^ 0x9e37_79b9_7f4a_7c15);
     let mut tx = ArqTx::new();
-    let mut rx = ArqRx::new();
+    let mut rx: ArqRx<Vec<u8>> = ArqRx::new();
     let mut fd = FrameDecoder::new();
     let mut fd_back = FrameDecoder::new();
     let mut tick = 0u64;
@@ -383,7 +383,7 @@ pub fn run_arq(input: &[u8]) -> Outcome {
             // Events are never shed and never superseded, so every
             // enqueue assigns a fresh sequence number.
             let rec = [b'E', (next_id >> 8) as u8, (next_id & 0xff) as u8, b'A', 0];
-            if tx.enqueue(ArqClass::Event, &rec, tick).is_some() {
+            if let Ok(Some(_)) = tx.enqueue(ArqClass::Event, &rec, tick) {
                 sent.push(rec.to_vec());
                 next_id = next_id.wrapping_add(1);
             }
@@ -496,7 +496,7 @@ pub fn run_arq(input: &[u8]) -> Outcome {
 )]
 fn service_data(
     tx: &mut ArqTx,
-    rx: &mut ArqRx,
+    rx: &mut ArqRx<Vec<u8>>,
     chan: &mut AdversarialChannel,
     fd: &mut FrameDecoder,
     rng: &mut StdRng,
@@ -517,7 +517,7 @@ fn service_data(
 
 /// Releases every reordered frame into the receiver.
 fn flush_data(
-    rx: &mut ArqRx,
+    rx: &mut ArqRx<Vec<u8>>,
     chan: &mut AdversarialChannel,
     fd: &mut FrameDecoder,
     delivered: &mut Vec<Vec<u8>>,
@@ -537,7 +537,7 @@ fn flush_data(
 /// an out-of-order arrival — never both kinds at once, never more than
 /// one dup/ooo each.
 fn ingest_arrival(
-    rx: &mut ArqRx,
+    rx: &mut ArqRx<Vec<u8>>,
     fd: &mut FrameDecoder,
     bytes: &[u8],
     delivered: &mut Vec<Vec<u8>>,
@@ -549,7 +549,7 @@ fn ingest_arrival(
             return;
         };
         let before = rx.quality();
-        rx.on_data(seq, inner, |rec| delivered.push(rec.to_vec()));
+        rx.on_data(seq, || inner.to_vec(), |rec| delivered.push(rec));
         let after = rx.quality();
         let dd = after.delivered - before.delivered;
         let du = after.duplicates - before.duplicates;
@@ -568,7 +568,7 @@ fn ingest_arrival(
 /// Returns the receiver's current ack through its own lossy channel.
 fn return_ack(
     tx: &mut ArqTx,
-    rx: &ArqRx,
+    rx: &ArqRx<Vec<u8>>,
     ack_chan: &mut AdversarialChannel,
     fd_back: &mut FrameDecoder,
     rng: &mut StdRng,

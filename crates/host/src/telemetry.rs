@@ -257,13 +257,18 @@ pub fn parse_record(payload: &[u8]) -> Result<Record, ProtocolError> {
 /// are deduplicated and reordered by an [`ArqRx`] before their inner
 /// records are parsed, and [`StreamDecoder::ack_payload`] yields the
 /// acknowledgement to send back to the device.
+///
+/// The receiver parks records already parsed (`Option<Record>`, `None`
+/// for a payload that failed to parse and is counted bad when its turn
+/// comes), so a duplicate or beyond-window frame is never parsed. A
+/// decoder owns no heap memory until a frame splits across two pushes
+/// and the frame decoder's carry takes the unfinished attempt.
 #[derive(Debug, Clone, Default)]
 pub struct StreamDecoder {
     frames: FrameDecoder,
-    arq: Option<ArqRx>,
+    arq: Option<ArqRx<Option<Record>>>,
     records_ok: u64,
     records_bad: u64,
-    crc_failures: u64,
 }
 
 impl StreamDecoder {
@@ -311,7 +316,6 @@ impl StreamDecoder {
                 &mut self.arq,
                 &mut self.records_ok,
                 &mut self.records_bad,
-                &mut self.crc_failures,
                 frame,
                 &mut sink,
             );
@@ -349,9 +353,11 @@ impl StreamDecoder {
         self.records_bad
     }
 
-    /// Frames dropped at the link layer for CRC failures.
+    /// Frames dropped at the link layer for CRC failures (the frame
+    /// decoder's [`FrameDecoder::frames_bad`]: a failed CRC is the only
+    /// error it reports).
     pub fn crc_failures(&self) -> u64 {
-        self.crc_failures
+        self.frames.frames_bad()
     }
 
     /// Link-layer frames decoded with a valid CRC.
@@ -380,38 +386,30 @@ impl StreamDecoder {
 ///
 /// Free function over disjoint [`StreamDecoder`] fields because the
 /// frame decoder stays mutably borrowed while it lends the payload.
+/// A failed frame is already counted in the frame decoder's books.
 fn consume_frame<F: FnMut(Record)>(
-    arq: &mut Option<ArqRx>,
+    arq: &mut Option<ArqRx<Option<Record>>>,
     records_ok: &mut u64,
     records_bad: &mut u64,
-    crc_failures: &mut u64,
     frame: Result<&[u8], HwError>,
     sink: &mut F,
 ) {
-    match frame {
-        Ok(payload) => match arq.as_mut() {
-            Some(rx) => match arq::decode_data(payload) {
-                Some((seq, inner)) => {
-                    rx.on_data(seq, inner, |rec| match parse_record(rec) {
-                        Ok(rec) => {
-                            *records_ok += 1;
-                            sink(rec);
-                        }
-                        Err(_) => *records_bad += 1,
-                    });
-                }
-                None => *records_bad += 1,
-            },
-            None => match parse_record(payload) {
-                Ok(rec) => {
-                    *records_ok += 1;
-                    sink(rec);
-                }
-                Err(_) => *records_bad += 1,
-            },
+    let Ok(payload) = frame else {
+        return;
+    };
+    let mut book = |rec: Option<Record>| match rec {
+        Some(rec) => {
+            *records_ok += 1;
+            sink(rec);
+        }
+        None => *records_bad += 1,
+    };
+    match arq.as_mut() {
+        Some(rx) => match arq::decode_data(payload) {
+            Some((seq, inner)) => rx.on_data(seq, || parse_record(inner).ok(), book),
+            None => book(None),
         },
-        Err(HwError::LinkCrc { .. }) => *crc_failures += 1,
-        Err(_) => *records_bad += 1,
+        None => book(parse_record(payload).ok()),
     }
 }
 
@@ -495,7 +493,8 @@ mod tests {
         // duplicate their wire frames before they reach the host.
         let mut tx = ArqTx::new();
         for stamp in 0..3u8 {
-            tx.enqueue(ArqClass::Event, &[b'E', 0, stamp, b'B', 0], 0);
+            tx.enqueue(ArqClass::Event, &[b'E', 0, stamp, b'B', 0], 0)
+                .unwrap();
         }
         let mut wires: Vec<Vec<u8>> = Vec::new();
         tx.service(0, |w| wires.push(w.to_vec()));
@@ -540,7 +539,8 @@ mod tests {
             dec.push_bytes(&bytes).iter().map(Record::stamp).collect()
         };
         for stamp in 0..3u8 {
-            tx.enqueue(ArqClass::Event, &[b'E', 0, stamp, b'B', 0], 0);
+            tx.enqueue(ArqClass::Event, &[b'E', 0, stamp, b'B', 0], 0)
+                .unwrap();
         }
         let mut wires = Vec::new();
         tx.service(0, |w| wires.push(w.to_vec()));
@@ -551,7 +551,8 @@ mod tests {
         tx.on_ack(cum, bitmap);
         drop(first); // session evicted: receiver state gone
         for stamp in 3..6u8 {
-            tx.enqueue(ArqClass::Event, &[b'E', 0, stamp, b'B', 0], 1);
+            tx.enqueue(ArqClass::Event, &[b'E', 0, stamp, b'B', 0], 1)
+                .unwrap();
         }
         wires.clear();
         tx.service(1, |w| wires.push(w.to_vec()));

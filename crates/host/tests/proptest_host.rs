@@ -95,11 +95,12 @@ proptest! {
         for k in 0..n {
             let stamp = (k as u16).wrapping_mul(7);
             sent_stamps.push(Stamp16::new(stamp));
-            tx.enqueue(
+            let queued = tx.enqueue(
                 ArqClass::Event,
                 &[b'E', (stamp >> 8) as u8, stamp as u8, b'H', (k % 8) as u8],
                 0,
             );
+            prop_assert!(matches!(queued, Ok(Some(_))), "events are never shed");
         }
 
         // Host side: the ARQ-terminating decoder, plus a plain decoder

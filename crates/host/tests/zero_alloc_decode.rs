@@ -1,10 +1,13 @@
 //! Proof that the host decode path holds the same zero-allocation bar
-//! as the firmware loop: once the frame decoder's carry, the ARQ reorder
-//! parking lot and its recycled buffers have warmed up, pushing radio
-//! bytes through [`StreamDecoder::push_bytes_with`] performs **zero**
-//! heap allocations — `Record` is `Copy` and every payload is borrowed.
-//! That holds on a clean stream, on a corrupted one (CRC failures and
-//! resync inside failed attempts) and with frames split across pushes.
+//! as the firmware loop: pushing radio bytes through
+//! [`StreamDecoder::push_bytes_with`] performs **zero** heap
+//! allocations — `Record` is `Copy`, every payload is borrowed, and the
+//! ARQ receiver parks out-of-order records in a fixed ring inside the
+//! decoder. A fresh decoder holds that from its very first push, on a
+//! clean stream with reordering and on a corrupted one (CRC failures
+//! and resync inside failed attempts). Frames split across pushes need
+//! the frame decoder's carry, which allocates until it has grown to the
+//! longest split attempt; after that warm-up they allocate nothing too.
 //!
 //! The same counting-allocator wrapper as `distscroll-core`'s
 //! `zero_alloc` test, tallying per thread so the multi-threaded test
@@ -80,7 +83,8 @@ fn data_frames(tx: &mut ArqTx, count: u16) -> Vec<Vec<u8>> {
             ArqClass::State,
             &[b'T', stamp[0], stamp[1], 0, 100, 0xff, 0, 0],
             0,
-        );
+        )
+        .unwrap();
         tx.service(0, |w| wires.push(encode_frame(w)));
         // Pretend the ack arrived so the queue never fills or resends.
         tx.on_ack(
@@ -140,28 +144,21 @@ fn push_split(dec: &mut StreamDecoder, bytes: &[u8], records: &mut u64) {
 }
 
 #[test]
-fn steady_state_arq_decode_allocates_nothing() {
+fn arq_decode_allocates_nothing_from_the_first_push() {
     let mut tx = ArqTx::new();
-    let mut dec = StreamDecoder::with_arq();
+    // Both streams are built *before* the window: building frames
+    // allocates, decoding them must not. Nothing is warmed up.
+    let first = data_stream(&mut tx, 200);
+    let second = data_stream(&mut tx, 200);
     let mut records = 0u64;
 
-    // Warm-up: frame scratch, the parking lot and its spare buffers all
-    // reach steady-state capacity.
-    let warm = data_stream(&mut tx, 200);
-    dec.push_bytes_with(&warm, |_: Record| records += 1);
-    assert_eq!(records, 200, "warm-up records must all decode");
-
-    // The measured stream is built *before* the window: building frames
-    // allocates, decoding them must not.
-    let hot = data_stream(&mut tx, 200);
     let before = allocations_on_this_thread();
-    dec.push_bytes_with(&hot, |_: Record| records += 1);
+    let mut dec = StreamDecoder::with_arq();
+    dec.push_bytes_with(&first, |_: Record| records += 1);
+    dec.push_bytes_with(&second, |_: Record| records += 1);
     let allocated = allocations_on_this_thread() - before;
-    assert_eq!(records, 400, "measured records must all decode");
-    assert_eq!(
-        allocated, 0,
-        "steady-state push_bytes_with must not allocate"
-    );
+    assert_eq!(records, 400, "every record must decode");
+    assert_eq!(allocated, 0, "a fresh decoder must not allocate");
     let q = dec.arq_quality().expect("arq decoder");
     assert_eq!(q.delivered, 400);
     assert!(q.out_of_order > 0, "the reorder path must be exercised");
@@ -170,24 +167,24 @@ fn steady_state_arq_decode_allocates_nothing() {
 #[test]
 fn corrupted_stream_decode_allocates_nothing() {
     let mut tx = ArqTx::new();
-    let mut dec = StreamDecoder::with_arq();
+    let first = corrupted_stream(&mut tx, 200);
+    let second = corrupted_stream(&mut tx, 200);
     let mut records = 0u64;
 
-    let warm = corrupted_stream(&mut tx, 200);
-    dec.push_bytes_with(&warm, |_: Record| records += 1);
-    assert_eq!(records, 200, "every intact frame survives the damage");
-    let crc_after_warm = dec.crc_failures();
-    assert!(crc_after_warm > 0, "the damage must fail CRCs");
-
-    let hot = corrupted_stream(&mut tx, 200);
     let before = allocations_on_this_thread();
-    dec.push_bytes_with(&hot, |_: Record| records += 1);
+    let mut dec = StreamDecoder::with_arq();
+    dec.push_bytes_with(&first, |_: Record| records += 1);
+    let crc_after_first = dec.crc_failures();
+    dec.push_bytes_with(&second, |_: Record| records += 1);
     let allocated = allocations_on_this_thread() - before;
-    assert_eq!(records, 400, "measured records must all decode");
+    assert_eq!(records, 400, "every intact frame survives the damage");
+    assert!(crc_after_first > 0, "the damage must fail CRCs");
     assert!(
-        dec.crc_failures() > crc_after_warm,
-        "hot stream must resync"
+        dec.crc_failures() > crc_after_first,
+        "the second stream must resync too"
     );
+    let (_, _, pending) = dec.link_byte_accounting();
+    assert_eq!(pending, 0, "every attempt is decided inside its push");
     assert_eq!(
         allocated, 0,
         "resync through CRC failures must not allocate"

@@ -31,6 +31,7 @@
 //! as plain integers either.
 
 use crate::link::MAX_PAYLOAD;
+use crate::HwError;
 
 /// Tag byte of a sequence-numbered data frame payload.
 pub const DATA_TAG: u8 = b'D';
@@ -298,9 +299,10 @@ impl ArqTx {
     /// events are never shed and never evict: the queue stretches for
     /// them and the retry budget bounds their lifetime.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the inner payload would not fit a wire frame with the
+    /// [`HwError::LinkFraming`], with nothing queued and no counter
+    /// moved, if the inner payload would not fit a wire frame with the
     /// ARQ header in front, or is empty: [`decode_data`] rejects
     /// header-only frames (an attacker's favorite), so an empty record
     /// would be silently unreceivable — and burn a sequence number the
@@ -309,12 +311,22 @@ impl ArqTx {
         clippy::disallowed_methods,
         reason = "wire encoding: the raw value is the header's two bytes"
     )]
-    pub fn enqueue(&mut self, class: ArqClass, inner: &[u8], now_tick: u64) -> Option<Seq16> {
-        assert!(
-            inner.len() <= MAX_DATA_INNER,
-            "record too long for an arq data frame"
-        );
-        assert!(!inner.is_empty(), "empty record cannot be delivered");
+    pub fn enqueue(
+        &mut self,
+        class: ArqClass,
+        inner: &[u8],
+        now_tick: u64,
+    ) -> Result<Option<Seq16>, HwError> {
+        if inner.is_empty() {
+            return Err(HwError::LinkFraming {
+                reason: "empty record cannot be delivered",
+            });
+        }
+        if inner.len() > MAX_DATA_INNER {
+            return Err(HwError::LinkFraming {
+                reason: "record too long for an arq data frame",
+            });
+        }
         if self.pending.len() >= self.capacity && class == ArqClass::State {
             if let Some(oldest_state) = self.pending.iter().position(|p| p.class == ArqClass::State)
             {
@@ -322,10 +334,10 @@ impl ArqTx {
                 p.wire.truncate(DATA_HEADER_LEN);
                 p.wire.extend_from_slice(inner);
                 self.quality.shed_state += 1;
-                return Some(p.seq);
+                return Ok(Some(p.seq));
             }
             self.quality.shed_state += 1;
-            return None;
+            return Ok(None);
         }
         let seq = self.next_seq;
         self.next_seq = self.next_seq.next();
@@ -342,7 +354,7 @@ impl ArqTx {
             tries: 0,
             due_tick: now_tick,
         });
-        Some(seq)
+        Ok(Some(seq))
     }
 
     /// Transmits every frame that is due at `now_tick`, visiting each
@@ -419,24 +431,38 @@ impl ArqTx {
     }
 }
 
-/// One buffered out-of-order record on the receive side.
-#[derive(Debug, Clone)]
-struct Parked {
-    seq: Seq16,
-    inner: Vec<u8>,
-}
-
 /// Host-side ARQ receiver: releases records in order exactly once and
 /// produces acknowledgements.
+///
+/// The receiver is generic over what it parks: the host parks parsed
+/// records, byte-level harnesses park the inner bytes (`Vec<u8>`) or
+/// nothing at all (`()`). [`ArqRx::on_data`] takes a `make` closure
+/// that builds the value only for a frame that is delivered or parked,
+/// so duplicates and beyond-window frames are never parsed or copied.
+///
+/// Out-of-order records wait in a fixed ring of [`WINDOW`] slots inside
+/// the receiver, indexed by `seq % WINDOW`. Parked sequence numbers
+/// always lie in `expected + 1 ..= expected + WINDOW`, eight consecutive
+/// numbers, so no two share a slot (and 2^16 is a multiple of
+/// `WINDOW`, so the index survives the wrap): an occupied slot *is* the
+/// duplicate check, and release walks the ring from `expected`. A
+/// receiver therefore owns no heap memory of its own whatever arrives.
+/// Parking the host's 8-byte `Option<Record>`, a receiver is 96 bytes;
+/// the `Vec`-parked receiver it replaced was 120 bytes plus a heap
+/// buffer per parked record, the list of them and a list of spares.
 #[derive(Debug, Clone)]
-pub struct ArqRx {
+pub struct ArqRx<T> {
     /// Next sequence number to release.
     expected: Seq16,
-    /// Out-of-order records parked until the gap before them fills,
-    /// within [`WINDOW`] of `expected`.
-    parked: Vec<Parked>,
-    spare: Vec<Vec<u8>>,
-    quality: LinkQuality,
+    /// Slot `seq % WINDOW` holds the record parked under `seq`, for the
+    /// `seq`s within [`WINDOW`] past `expected`.
+    parked: [Option<T>; WINDOW as usize],
+    /// Records released to the application in order.
+    delivered: u64,
+    /// Data frames discarded as already-delivered copies.
+    duplicates: u64,
+    /// Data frames that arrived ahead of a gap.
+    out_of_order: u64,
     /// When true, the first data frame's sequence number is adopted as
     /// `expected` instead of being judged against it — a receiver that
     /// attaches to a transmitter already mid-stream (e.g. after the
@@ -449,20 +475,26 @@ pub struct ArqRx {
     resynced: bool,
 }
 
-impl Default for ArqRx {
+impl<T> Default for ArqRx<T> {
     fn default() -> Self {
         ArqRx::new()
     }
 }
 
-impl ArqRx {
+/// The ring slot a sequence number parks in.
+fn ring_slot(seq: Seq16) -> usize {
+    usize::from(seq.0 % WINDOW)
+}
+
+impl<T> ArqRx<T> {
     /// A receiver expecting a fresh transmitter's first frame.
     pub fn new() -> Self {
         ArqRx {
             expected: Seq16::ZERO,
-            parked: Vec::new(),
-            spare: Vec::new(),
-            quality: LinkQuality::default(),
+            parked: [const { None }; WINDOW as usize],
+            delivered: 0,
+            duplicates: 0,
+            out_of_order: 0,
             sync_on_first: false,
             synced: false,
             resynced: false,
@@ -492,19 +524,28 @@ impl ArqRx {
         self.resynced
     }
 
-    /// Counters accumulated so far.
+    /// Counters accumulated so far: the receive-side fields
+    /// (`delivered`, `duplicates`, `out_of_order`); the transmit-side
+    /// ones are zero.
     pub fn quality(&self) -> LinkQuality {
-        self.quality
+        LinkQuality {
+            delivered: self.delivered,
+            duplicates: self.duplicates,
+            out_of_order: self.out_of_order,
+            ..LinkQuality::default()
+        }
     }
 
-    /// Accepts one data frame's sequence number and inner record.
+    /// Accepts one data frame's sequence number; `make` builds the value
+    /// its inner record stands for.
     ///
     /// In-order records (and any parked records they unblock) are handed
     /// to `deliver` immediately; future records within the reorder
     /// window are parked; duplicates are counted and dropped. Records
     /// beyond the window are ignored — never acked, the transmitter
-    /// resends them once the window has moved.
-    pub fn on_data<F: FnMut(&[u8])>(&mut self, seq: Seq16, inner: &[u8], mut deliver: F) {
+    /// resends them once the window has moved. `make` runs only for a
+    /// record that is delivered or parked.
+    pub fn on_data(&mut self, seq: Seq16, make: impl FnOnce() -> T, mut deliver: impl FnMut(T)) {
         if self.sync_on_first && !self.synced {
             self.synced = true;
             if seq != self.expected {
@@ -515,33 +556,35 @@ impl ArqRx {
         let ahead = seq.distance_from(self.expected);
         if ahead >= SERIAL_HALF {
             // Serially older than `expected`: already delivered.
-            self.quality.duplicates += 1;
+            self.duplicates += 1;
             return;
         }
         if ahead == 0 {
-            deliver(inner);
-            self.quality.delivered += 1;
+            deliver(make());
+            self.delivered += 1;
             self.expected = self.expected.next();
-            self.release_parked(&mut deliver);
+            // Release the records the filled gap unblocks.
+            while let Some(rec) = self.parked[ring_slot(self.expected)].take() {
+                deliver(rec);
+                self.delivered += 1;
+                self.expected = self.expected.next();
+            }
             return;
         }
-        self.quality.out_of_order += 1;
+        self.out_of_order += 1;
         if ahead > WINDOW {
             return;
         }
-        if self.parked.iter().any(|p| p.seq == seq) {
-            self.quality.duplicates += 1;
-            return;
+        match &mut self.parked[ring_slot(seq)] {
+            Some(_) => self.duplicates += 1,
+            slot => *slot = Some(make()),
         }
-        let mut buf = self.spare.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(inner);
-        self.parked.push(Parked { seq, inner: buf });
     }
 
     /// The acknowledgement payload describing everything received so
     /// far: cumulative ack of the last in-order record, plus a bitmap of
-    /// parked records ahead of the gap.
+    /// parked records ahead of the gap (bit `k - 1` for
+    /// `expected + k`).
     #[expect(
         clippy::disallowed_methods,
         reason = "wire encoding: the raw value is the ack's two bytes"
@@ -549,10 +592,11 @@ impl ArqRx {
     pub fn ack_payload(&self) -> [u8; ACK_LEN] {
         let cum = Seq16::from_raw(self.expected.raw().wrapping_sub(1));
         let mut bitmap = 0u8;
-        for p in &self.parked {
-            let ahead = p.seq.distance_from(cum);
-            if (2..2 + WINDOW).contains(&ahead) {
-                bitmap |= 1 << (ahead - 2);
+        let mut seq = self.expected;
+        for bit in 0..WINDOW {
+            seq = seq.next();
+            if self.parked[ring_slot(seq)].is_some() {
+                bitmap |= 1 << bit;
             }
         }
         [
@@ -562,30 +606,23 @@ impl ArqRx {
             bitmap,
         ]
     }
-
-    fn release_parked<F: FnMut(&[u8])>(&mut self, deliver: &mut F) {
-        loop {
-            let Some(at) = self.parked.iter().position(|p| p.seq == self.expected) else {
-                return;
-            };
-            let p = self.parked.swap_remove(at);
-            deliver(&p.inner);
-            self.quality.delivered += 1;
-            self.expected = self.expected.next();
-            let mut buf = p.inner;
-            buf.clear();
-            if self.spare.len() < usize::from(WINDOW) {
-                self.spare.push(buf);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn pump(tx: &mut ArqTx, rx: &mut ArqRx, now: u64, drop_nth: Option<usize>) -> Vec<Vec<u8>> {
+    /// Feeds one frame's record bytes to a byte-parking receiver.
+    fn feed(rx: &mut ArqRx<Vec<u8>>, seq: Seq16, inner: &[u8], got: &mut Vec<Vec<u8>>) {
+        rx.on_data(seq, || inner.to_vec(), |rec| got.push(rec));
+    }
+
+    fn pump(
+        tx: &mut ArqTx,
+        rx: &mut ArqRx<Vec<u8>>,
+        now: u64,
+        drop_nth: Option<usize>,
+    ) -> Vec<Vec<u8>> {
         let mut delivered = Vec::new();
         let mut n = 0;
         tx.service(now, |wire| {
@@ -593,7 +630,7 @@ mod tests {
             n += 1;
             if keep {
                 let (seq, inner) = decode_data(wire).unwrap();
-                rx.on_data(seq, inner, |rec| delivered.push(rec.to_vec()));
+                feed(rx, seq, inner, &mut delivered);
             }
         });
         let (cum, bitmap) = decode_ack(&rx.ack_payload()).unwrap();
@@ -607,8 +644,8 @@ mod tests {
         let mut got = Vec::new();
         // First frame lands at seq 500: a zero-expecting receiver would
         // drop it as serially old; the resync receiver adopts it.
-        rx.on_data(Seq16::from_raw(500), b"a", |r| got.push(r.to_vec()));
-        rx.on_data(Seq16::from_raw(501), b"b", |r| got.push(r.to_vec()));
+        feed(&mut rx, Seq16::from_raw(500), b"a", &mut got);
+        feed(&mut rx, Seq16::from_raw(501), b"b", &mut got);
         assert_eq!(got, vec![b"a".to_vec(), b"b".to_vec()]);
         assert!(rx.resynced());
         assert_eq!(rx.quality().delivered, 2);
@@ -619,10 +656,10 @@ mod tests {
     fn resync_receiver_on_fresh_stream_is_plain_receiver() {
         let mut rx = ArqRx::new_resync();
         let mut got = Vec::new();
-        rx.on_data(Seq16::ZERO, b"a", |r| got.push(r.to_vec()));
+        feed(&mut rx, Seq16::ZERO, b"a", &mut got);
         // A duplicate of the first frame is still deduplicated: adoption
         // happens once, on the very first frame only.
-        rx.on_data(Seq16::ZERO, b"a", |r| got.push(r.to_vec()));
+        feed(&mut rx, Seq16::ZERO, b"a", &mut got);
         assert_eq!(got.len(), 1);
         assert!(!rx.resynced());
         assert_eq!(rx.quality().duplicates, 1);
@@ -632,9 +669,9 @@ mod tests {
     fn resync_receiver_dedups_after_adoption() {
         let mut rx = ArqRx::new_resync();
         let mut got = Vec::new();
-        rx.on_data(Seq16::from_raw(77), b"x", |r| got.push(r.to_vec()));
-        rx.on_data(Seq16::from_raw(77), b"x", |r| got.push(r.to_vec()));
-        rx.on_data(Seq16::from_raw(76), b"w", |r| got.push(r.to_vec()));
+        feed(&mut rx, Seq16::from_raw(77), b"x", &mut got);
+        feed(&mut rx, Seq16::from_raw(77), b"x", &mut got);
+        feed(&mut rx, Seq16::from_raw(76), b"w", &mut got);
         assert_eq!(got.len(), 1);
         assert_eq!(rx.quality().duplicates, 2);
     }
@@ -652,7 +689,7 @@ mod tests {
     #[test]
     fn data_and_ack_payloads_round_trip() {
         let mut tx = ArqTx::new();
-        let seq = tx.enqueue(ArqClass::Event, b"rec", 0).unwrap();
+        let seq = tx.enqueue(ArqClass::Event, b"rec", 0).unwrap().unwrap();
         let mut wires = Vec::new();
         tx.service(0, |w| wires.push(w.to_vec()));
         let (got_seq, inner) = decode_data(&wires[0]).unwrap();
@@ -661,7 +698,7 @@ mod tests {
         assert_eq!(decode_data(b"X123"), None);
         assert_eq!(decode_data(b""), None);
 
-        let rx = ArqRx::new();
+        let rx = ArqRx::<()>::new();
         let ack = rx.ack_payload();
         let (cum, bitmap) = decode_ack(&ack).unwrap();
         assert_eq!(cum, Seq16::from_raw(0xffff), "nothing delivered yet");
@@ -711,10 +748,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty record")]
-    fn enqueue_rejects_empty_records() {
+    fn enqueue_refuses_empty_and_oversize_records() {
         let mut tx = ArqTx::new();
-        let _ = tx.enqueue(ArqClass::Event, b"", 0);
+        assert!(matches!(
+            tx.enqueue(ArqClass::Event, b"", 0),
+            Err(HwError::LinkFraming { .. })
+        ));
+        assert!(matches!(
+            tx.enqueue(ArqClass::State, &[0; MAX_DATA_INNER + 1], 0),
+            Err(HwError::LinkFraming { .. })
+        ));
+        // Nothing was queued and no sequence number was spent.
+        assert_eq!(tx.in_flight(), 0);
+        assert_eq!(tx.quality(), LinkQuality::default());
+        let seq = tx.enqueue(ArqClass::Event, &[0; MAX_DATA_INNER], 0);
+        assert_eq!(seq, Ok(Some(Seq16::ZERO)));
     }
 
     #[test]
@@ -722,7 +770,7 @@ mod tests {
         let mut tx = ArqTx::new();
         let mut rx = ArqRx::new();
         for i in 0..5u8 {
-            tx.enqueue(ArqClass::State, &[i], u64::from(i));
+            tx.enqueue(ArqClass::State, &[i], u64::from(i)).unwrap();
         }
         let delivered = pump(&mut tx, &mut rx, 5, None);
         assert_eq!(delivered, vec![vec![0], vec![1], vec![2], vec![3], vec![4]]);
@@ -737,7 +785,7 @@ mod tests {
         let mut tx = ArqTx::new();
         let mut rx = ArqRx::new();
         for i in 0..3u8 {
-            tx.enqueue(ArqClass::Event, &[i], 0);
+            tx.enqueue(ArqClass::Event, &[i], 0).unwrap();
         }
         // First pass: the middle frame is lost on the air.
         let delivered = pump(&mut tx, &mut rx, 0, Some(1));
@@ -756,13 +804,13 @@ mod tests {
     fn duplicates_are_dropped_exactly_once_semantics() {
         let mut tx = ArqTx::new();
         let mut rx = ArqRx::new();
-        tx.enqueue(ArqClass::Event, b"x", 0);
+        tx.enqueue(ArqClass::Event, b"x", 0).unwrap();
         let mut wires = Vec::new();
         tx.service(0, |w| wires.push(w.to_vec()));
-        let (seq, inner) = decode_data(&wires[0]).unwrap();
+        let (seq, _) = decode_data(&wires[0]).unwrap();
         let mut got = 0;
-        rx.on_data(seq, inner, |_| got += 1);
-        rx.on_data(seq, inner, |_| got += 1); // the ack was lost; tx resent
+        rx.on_data(seq, || (), |()| got += 1);
+        rx.on_data(seq, || (), |()| got += 1); // the ack was lost; tx resent
         assert_eq!(got, 1);
         assert_eq!(rx.quality().duplicates, 1);
     }
@@ -770,7 +818,7 @@ mod tests {
     #[test]
     fn backoff_spaces_out_retransmissions() {
         let mut tx = ArqTx::new();
-        tx.enqueue(ArqClass::Event, b"x", 0);
+        tx.enqueue(ArqClass::Event, b"x", 0).unwrap();
         let mut sent_at = Vec::new();
         // No acks ever arrive; watch when the frame goes to the radio.
         for now in 0..20_000 {
@@ -796,7 +844,7 @@ mod tests {
     fn ack_gap_triggers_fast_retransmit_and_refreshes_the_budget() {
         let mut tx = ArqTx::new();
         for i in 0..3u8 {
-            tx.enqueue(ArqClass::Event, &[i], 0);
+            tx.enqueue(ArqClass::Event, &[i], 0).unwrap();
         }
         let mut n = 0;
         tx.service(0, |_| n += 1);
@@ -827,14 +875,14 @@ mod tests {
     #[test]
     fn full_queue_supersedes_oldest_state_in_place_never_events() {
         let mut tx = ArqTx::new();
-        let s0 = tx.enqueue(ArqClass::State, b"s0", 0).unwrap();
+        let s0 = tx.enqueue(ArqClass::State, b"s0", 0).unwrap().unwrap();
         for i in 0..ArqTx::DEFAULT_CAPACITY - 1 {
-            tx.enqueue(ArqClass::Event, &[i as u8], 0).unwrap();
+            tx.enqueue(ArqClass::Event, &[i as u8], 0).unwrap().unwrap();
         }
         assert_eq!(tx.in_flight(), ArqTx::DEFAULT_CAPACITY);
         // The queue is full: a fresh snapshot takes over the oldest
         // queued snapshot's sequence number — no hole opens.
-        let s1 = tx.enqueue(ArqClass::State, b"s1", 0).unwrap();
+        let s1 = tx.enqueue(ArqClass::State, b"s1", 0).unwrap().unwrap();
         assert_eq!(s1, s0, "the superseding snapshot rides the old seq");
         assert_eq!(tx.in_flight(), ArqTx::DEFAULT_CAPACITY);
         assert_eq!(tx.quality().shed_state, 1);
@@ -847,15 +895,18 @@ mod tests {
         let (seq, inner) = decode_data(&first).unwrap();
         assert_eq!((seq, inner), (s0, &b"s1"[..]), "new contents, old seq");
         // Events never shed and never evict — the queue stretches.
-        assert!(tx.enqueue(ArqClass::Event, b"e", 0).is_some());
+        assert!(tx.enqueue(ArqClass::Event, b"e", 0).unwrap().is_some());
         assert_eq!(tx.in_flight(), ArqTx::DEFAULT_CAPACITY + 1);
         // A queue holding nothing but events sheds an arriving snapshot
         // outright — it never got a sequence number, so no hole either.
         let mut all_events = ArqTx::new();
         for i in 0..ArqTx::DEFAULT_CAPACITY {
-            all_events.enqueue(ArqClass::Event, &[i as u8], 0).unwrap();
+            all_events
+                .enqueue(ArqClass::Event, &[i as u8], 0)
+                .unwrap()
+                .unwrap();
         }
-        assert_eq!(all_events.enqueue(ArqClass::State, b"s", 0), None);
+        assert_eq!(all_events.enqueue(ArqClass::State, b"s", 0), Ok(None));
         assert_eq!(all_events.quality().shed_state, 1);
     }
 
@@ -867,7 +918,7 @@ mod tests {
         let mut tx = ArqTx::new();
         let mut rx = ArqRx::new();
         for i in 0..100u8 {
-            tx.enqueue(ArqClass::State, &[i], 0);
+            tx.enqueue(ArqClass::State, &[i], 0).unwrap();
         }
         assert_eq!(tx.in_flight(), ArqTx::DEFAULT_CAPACITY);
         let delivered = pump(&mut tx, &mut rx, 0, None);
@@ -886,16 +937,20 @@ mod tests {
         let mut delivered = 0u64;
         // 70_000 records: well past the 16-bit sequence wrap.
         for i in 0..70_000u64 {
-            tx.enqueue(ArqClass::State, &i.to_be_bytes(), i);
+            tx.enqueue(ArqClass::State, &i.to_be_bytes(), i).unwrap();
             if i % 4 == 3 {
                 let mut expect = i - 3;
                 tx.service(i, |w| {
                     let (seq, inner) = decode_data(w).unwrap();
-                    rx.on_data(seq, inner, |rec| {
-                        assert_eq!(rec, expect.to_be_bytes());
-                        expect += 1;
-                        delivered += 1;
-                    });
+                    rx.on_data(
+                        seq,
+                        || inner.to_vec(),
+                        |rec| {
+                            assert_eq!(rec, expect.to_be_bytes());
+                            expect += 1;
+                            delivered += 1;
+                        },
+                    );
                 });
                 let (cum, bitmap) = decode_ack(&rx.ack_payload()).unwrap();
                 tx.on_ack(cum, bitmap);
@@ -909,7 +964,7 @@ mod tests {
     fn far_future_frames_are_ignored_not_parked() {
         let mut rx = ArqRx::new();
         let mut got = 0;
-        rx.on_data(Seq16::from_raw(40), b"early", |_| got += 1);
+        rx.on_data(Seq16::from_raw(40), || panic!("never built"), |()| got += 1);
         assert_eq!(got, 0);
         assert_eq!(rx.quality().out_of_order, 1);
         let (_, bitmap) = decode_ack(&rx.ack_payload()).unwrap();

@@ -84,15 +84,15 @@ fn minimized_header_only_data_frame_is_rejected() {
     // delivered and no sequence number may be consumed.
     use distscroll_hw::arq::ArqRx;
     let mut fd = FrameDecoder::new();
-    let mut rx = ArqRx::new();
+    let mut rx = ArqRx::<()>::new();
     let mut delivered = 0u64;
     for payload in fd
         .push_all(&encode_frame(&[b'D', 0, 0]))
         .into_iter()
         .flatten()
     {
-        if let Some((seq, inner)) = decode_data(&payload) {
-            rx.on_data(seq, inner, |_| delivered += 1);
+        if let Some((seq, _)) = decode_data(&payload) {
+            rx.on_data(seq, || (), |()| delivered += 1);
         }
     }
     assert_eq!(delivered, 0);
@@ -100,6 +100,40 @@ fn minimized_header_only_data_frame_is_rejected() {
     // Sequence 0 is still unacknowledged: the cumulative ack still sits
     // at the pre-stream sentinel (expected − 1 = 0xFFFF).
     assert_eq!(rx.ack_payload(), [b'K', 0xff, 0xff, 0]);
+}
+
+/// Transmit-side twin of the header-only case: the two records no data
+/// frame can carry. An empty record would go out as a header-only frame
+/// that every receiver rejects, stalling it on a sequence number that
+/// never arrives; an over-long one cannot be framed. `enqueue` used to
+/// assert on both, a panic reachable from any caller's payload; it now
+/// refuses them with an error and leaves the queue and the sequence
+/// space untouched.
+#[test]
+fn enqueue_refuses_records_no_data_frame_can_carry() {
+    use distscroll_hw::arq::{ArqClass, ArqTx, MAX_DATA_INNER};
+    use distscroll_hw::HwError;
+
+    let mut tx = ArqTx::new();
+    for (class, record) in [
+        (ArqClass::Event, Vec::new()),
+        (ArqClass::State, vec![0x5a; MAX_DATA_INNER + 1]),
+    ] {
+        assert!(matches!(
+            tx.enqueue(class, &record, 0),
+            Err(HwError::LinkFraming { .. })
+        ));
+    }
+    assert_eq!(tx.in_flight(), 0);
+    let mut sent = 0;
+    tx.service(0, |_| sent += 1);
+    assert_eq!(sent, 0, "a refused record never reaches the radio");
+    // The next good record still takes the first sequence number.
+    let seq = tx.enqueue(ArqClass::Event, &[0x5a; MAX_DATA_INNER], 0);
+    assert_eq!(
+        seq.map(|s| s.map(|s| s.distance_from(Seq16::ZERO))),
+        Ok(Some(0))
+    );
 }
 
 /// Hardening twin of the header-only case: an ack payload with trailing

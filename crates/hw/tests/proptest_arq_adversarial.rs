@@ -34,12 +34,16 @@ fn run_clean_prefix(tx: &mut ArqTx, n: u16, tick: &mut u64) {
     let mut rx = ArqRx::new();
     for i in 0..n {
         *tick += 1;
-        assert!(tx.enqueue(ArqClass::Event, &record(i), *tick).is_some());
+        assert_eq!(
+            tx.enqueue(ArqClass::Event, &record(i), *tick)
+                .map(|s| s.is_some()),
+            Ok(true)
+        );
         let mut wires: Vec<Vec<u8>> = Vec::new();
         tx.service(*tick, |w| wires.push(w.to_vec()));
         for w in wires {
-            let (seq, inner) = decode_data(&w).expect("tx emits well-formed data");
-            rx.on_data(seq, inner, |_| {});
+            let (seq, _) = decode_data(&w).expect("tx emits well-formed data");
+            rx.on_data(seq, || (), |()| {});
         }
         let ack = rx.ack_payload();
         let (cum, map) = decode_ack(&ack).expect("ack decodes");
@@ -77,10 +81,10 @@ proptest! {
         let suffix: Vec<Vec<u8>> = (0..suffix_len).map(|i| record(prefix_len + i)).collect();
         let mut delivered: Vec<Vec<u8>> = Vec::new();
 
-        let deliver_all = |rx: &mut ArqRx, arrivals: &[Vec<u8>], delivered: &mut Vec<Vec<u8>>| {
+        let deliver_all = |rx: &mut ArqRx<Vec<u8>>, arrivals: &[Vec<u8>], delivered: &mut Vec<Vec<u8>>| {
             for wire in arrivals {
                 if let Some((seq, inner)) = decode_data(wire) {
-                    rx.on_data(seq, inner, |rec| delivered.push(rec.to_vec()));
+                    rx.on_data(seq, || inner.to_vec(), |rec| delivered.push(rec));
                 }
             }
         };
@@ -91,7 +95,10 @@ proptest! {
         for _ in 0..6000u32 {
             tick += 1;
             if queued < suffix_len {
-                prop_assert!(tx.enqueue(ArqClass::Event, &suffix[queued as usize], tick).is_some());
+                prop_assert_eq!(
+                    tx.enqueue(ArqClass::Event, &suffix[queued as usize], tick).map(|s| s.is_some()),
+                    Ok(true)
+                );
                 queued += 1;
             }
             let mut arrivals: Vec<Vec<u8>> = Vec::new();
@@ -161,7 +168,7 @@ fn harsh_session_delivers_an_exact_prefix() {
     for tick in 0..20_000u64 {
         if tick % 4 == 0 {
             let rec = [b'E', (tick >> 8) as u8, (tick & 0xff) as u8, b'A', 1];
-            if tx.enqueue(ArqClass::Event, &rec, tick).is_some() {
+            if let Ok(Some(_)) = tx.enqueue(ArqClass::Event, &rec, tick) {
                 enqueued.push(rec.to_vec());
             }
         }
@@ -175,7 +182,7 @@ fn harsh_session_delivers_an_exact_prefix() {
         for bytes in arrivals {
             for r in fd.push_all(&bytes).into_iter().flatten() {
                 if let Some((seq, inner)) = decode_data(&r) {
-                    rx.on_data(seq, inner, |rec| delivered.push(rec.to_vec()));
+                    rx.on_data(seq, || inner.to_vec(), |rec| delivered.push(rec));
                 }
             }
         }

@@ -36,6 +36,17 @@
 //!   delivers them again. This is the known re-delivery defect (the
 //!   ROADMAP item "Make eviction at-most-once"); perfbench's
 //!   `churn_gate_catches_double_delivery` pins it.
+//! * **Heap-free resident sessions** — a live session is one 192-byte
+//!   slot in its shard's table (device id, decoder with its ARQ
+//!   receiver, recency links) and owns no heap memory: the receiver
+//!   parks out-of-order records in a fixed ring of
+//!   [`WINDOW`](distscroll_hw::arq::WINDOW) slots inside it. The one
+//!   thing that still allocates per session is the frame decoder's
+//!   carry, and only once a frame splits across two batches. Before the
+//!   ring a slot was 240 bytes plus three to six heap blocks (the parked
+//!   list, its spare buffers and the buffers themselves);
+//!   `tests/zero_alloc_sessions.rs` holds opening, evicting and
+//!   decoding at the bound to zero allocations.
 //! * **Streaming aggregation** — `LinkQuality` and interaction counters
 //!   accumulate online per shard; nothing retains per-frame history.
 //!

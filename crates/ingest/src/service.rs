@@ -86,7 +86,8 @@ mod tests {
 
     fn stream(tx: &mut ArqTx, n: u8, tick: u64) -> Vec<u8> {
         for i in 0..n {
-            tx.enqueue(ArqClass::Event, &[b'E', 0, i, b'B', 0], tick);
+            tx.enqueue(ArqClass::Event, &[b'E', 0, i, b'B', 0], tick)
+                .unwrap();
         }
         let mut bytes = Vec::new();
         tx.service(tick, |wire| bytes.extend_from_slice(&encode_frame(wire)));

@@ -87,15 +87,33 @@ impl ShardStats {
 }
 
 /// One session slot: the decoder carrying the ARQ receiver, threaded on
-/// the shard's recency list.
+/// the shard's recency list by slot number.
+///
+/// 192 bytes, and no heap memory of its own: the receiver parks
+/// out-of-order records in a fixed ring inside the slot, and the frame
+/// decoder's carry allocates only once a frame splits across two
+/// batches. The links are `u32` because a shard never holds more than
+/// [`MAX_SLOTS`] sessions.
 #[derive(Debug, Clone)]
 struct Session {
     device: u64,
     decoder: StreamDecoder,
     /// The next less recently touched session.
-    prev: Option<usize>,
+    prev: Option<u32>,
     /// The next more recently touched session.
-    next: Option<usize>,
+    next: Option<u32>,
+}
+
+/// Most sessions one shard holds: every slot number fits the `u32`
+/// recency links. [`Shard::new`] clamps the capacity to it, so a shard
+/// asked for more evicts at this bound instead of wrapping a link.
+const MAX_SLOTS: usize = u32::MAX as usize;
+
+/// A slot number as the recency list stores it. Slots are numbered
+/// below [`MAX_SLOTS`], so the conversion is exact.
+fn link(slot: usize) -> u32 {
+    assert!(slot < MAX_SLOTS, "slot {slot} past the shard's bound");
+    slot as u32
 }
 
 /// Device id → slot of its live session. Lookup, insert and remove in
@@ -150,12 +168,13 @@ pub(crate) struct Shard {
     slots: Vec<Session>,
     /// Least and most recently touched live slots: the ends of a list
     /// ordered by last touch, so eviction pops the head in O(1).
-    lru: Option<usize>,
-    mru: Option<usize>,
+    lru: Option<u32>,
+    mru: Option<u32>,
     queue: Vec<Batch>,
     /// The queued batches' bytes, back to back; reused every round.
     slab: Vec<u8>,
     stats: ShardStats,
+    /// Live-session bound, at most [`MAX_SLOTS`].
     capacity: usize,
 }
 
@@ -169,7 +188,7 @@ impl Shard {
             queue: Vec::new(),
             slab: Vec::new(),
             stats: ShardStats::default(),
-            capacity,
+            capacity: capacity.min(MAX_SLOTS),
         }
     }
 
@@ -256,24 +275,25 @@ impl Shard {
     fn unlink(&mut self, slot: usize) {
         let Session { prev, next, .. } = self.slots[slot];
         match prev {
-            Some(p) => self.slots[p].next = next,
+            Some(p) => self.slots[p as usize].next = next,
             None => self.lru = next,
         }
         match next {
-            Some(n) => self.slots[n].prev = prev,
+            Some(n) => self.slots[n as usize].prev = prev,
             None => self.mru = prev,
         }
     }
 
     /// Appends `slot` to the recency list as the most recently touched.
     fn link_mru(&mut self, slot: usize) {
+        let this = Some(link(slot));
         self.slots[slot].prev = self.mru;
         self.slots[slot].next = None;
         match self.mru {
-            Some(m) => self.slots[m].next = Some(slot),
-            None => self.lru = Some(slot),
+            Some(m) => self.slots[m as usize].next = this,
+            None => self.lru = this,
         }
-        self.mru = Some(slot);
+        self.mru = this;
     }
 
     /// Evicts the least-recently-touched session, folding its counters
@@ -281,7 +301,7 @@ impl Shard {
     /// touches its session, so the list order is the order of last
     /// touches and the victim is unambiguous.
     fn evict_lru(&mut self) -> Option<usize> {
-        let slot = self.lru?;
+        let slot = self.lru? as usize;
         self.unlink(slot);
         let session = &self.slots[slot];
         self.index.remove(&session.device);
@@ -337,11 +357,30 @@ mod tests {
     /// continuing an existing transmitter.
     fn stream(tx: &mut ArqTx, n: u8, tick: u64) -> Vec<u8> {
         for i in 0..n {
-            tx.enqueue(ArqClass::Event, &[b'E', 0, i, b'B', 0], tick);
+            tx.enqueue(ArqClass::Event, &[b'E', 0, i, b'B', 0], tick)
+                .unwrap();
         }
         let mut bytes = Vec::new();
         tx.service(tick, |wire| bytes.extend_from_slice(&encode_frame(wire)));
         bytes
+    }
+
+    #[test]
+    fn a_session_slot_fits_in_192_bytes() {
+        // The resident state of one device: the ring-parking receiver
+        // keeps it inline, with no heap allocation behind it.
+        assert!(
+            std::mem::size_of::<Session>() <= 192,
+            "{} bytes",
+            std::mem::size_of::<Session>()
+        );
+    }
+
+    #[test]
+    fn capacity_is_clamped_to_the_link_width() {
+        assert_eq!(Shard::new(usize::MAX).capacity, MAX_SLOTS);
+        assert_eq!(Shard::new(4).capacity, 4);
+        assert_eq!(link(MAX_SLOTS - 1), u32::MAX - 1);
     }
 
     #[test]
@@ -410,8 +449,8 @@ mod tests {
         let mut order = Vec::new();
         let mut at = shard.lru;
         while let Some(slot) = at {
-            order.push(shard.slots[slot].device);
-            at = shard.slots[slot].next;
+            order.push(shard.slots[slot as usize].device);
+            at = shard.slots[slot as usize].next;
         }
         order
     }

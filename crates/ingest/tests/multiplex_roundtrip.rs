@@ -13,7 +13,7 @@ use proptest::prelude::*;
 /// inside its shard, so the harness mirrors it to produce acks).
 struct Device {
     tx: ArqTx,
-    ack_rx: ArqRx,
+    ack_rx: ArqRx<()>,
     remaining: usize,
     stamp: u16,
 }
@@ -36,11 +36,12 @@ fn run(counts: &[usize], shards: usize, lose_acks: &[bool], jobs: usize) -> Inge
             // Two records per round until the device's script runs out.
             for _ in 0..dev.remaining.min(2) {
                 let s = dev.stamp;
-                dev.tx.enqueue(
+                let queued = dev.tx.enqueue(
                     ArqClass::Event,
                     &[b'E', (s >> 8) as u8, s as u8, b'H', (s % 8) as u8],
                     now,
                 );
+                assert!(matches!(queued, Ok(Some(_))), "events are never shed");
                 dev.stamp = dev.stamp.wrapping_add(7);
                 dev.remaining -= 1;
             }
@@ -48,8 +49,8 @@ fn run(counts: &[usize], shards: usize, lose_acks: &[bool], jobs: usize) -> Inge
             let ack_rx = &mut dev.ack_rx;
             dev.tx.service(now, |wire| {
                 chunk.extend_from_slice(&encode_frame(wire));
-                if let Some((seq, inner)) = decode_data(wire) {
-                    ack_rx.on_data(seq, inner, |_| {});
+                if let Some((seq, _)) = decode_data(wire) {
+                    ack_rx.on_data(seq, || (), |()| {});
                 }
             });
             if !chunk.is_empty() {

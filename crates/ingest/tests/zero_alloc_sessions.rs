@@ -1,0 +1,136 @@
+//! Proof that a resident fleet session owns no heap memory: once a
+//! capacity-bounded shard's slot table has reached its bound, opening a
+//! session (and evicting the least recently touched one to make room)
+//! and decoding its captured radio stream performs **zero** heap
+//! allocations. The ARQ receiver parks out-of-order records in a fixed
+//! ring inside the session slot, so nothing behind a session grows with
+//! the traffic it sees.
+//!
+//! The same counting-allocator wrapper as `distscroll-host`'s
+//! `zero_alloc_decode` test, tallying per thread so the multi-threaded
+//! test harness cannot pollute the count. The service runs at
+//! `jobs = 1`, where a round is a plain loop on this thread.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use distscroll_ingest::loadgen::{capture_template, LinkProfile, Template};
+use distscroll_ingest::{IngestConfig, IngestService};
+
+thread_local! {
+    /// Allocation calls (alloc + realloc) made by the current thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts allocation calls, then forwards everything to [`System`].
+struct CountingAlloc;
+
+#[expect(
+    unsafe_code,
+    reason = "a counting GlobalAlloc forwards to System, which takes unsafe"
+)]
+// SAFETY: every operation forwards verbatim to the system allocator;
+// the only addition is a thread-local counter bump, which allocates
+// nothing and upholds the GlobalAlloc contract by construction.
+unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: counting aside, this is the system allocator verbatim.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller upholds GlobalAlloc's contract for `layout`;
+        // it is forwarded to the system allocator unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: frees are not counted; the call is the system allocator verbatim.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `Self::alloc`, i.e. from `System`, with
+        // this same `layout`; both are forwarded unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: counting aside, this is the system allocator verbatim.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: `ptr` came from `Self::alloc`, i.e. from `System`, with
+        // this same `layout`; all arguments are forwarded unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn allocations_on_this_thread() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Live sessions the shard may hold.
+const CAPACITY: usize = 8;
+/// Devices taking turns on the shard: six times its capacity, so every
+/// batch evicts a session and opens one.
+const DEVICES: u64 = 48;
+
+/// Offers round `round` of the schedule and drains it: every device in
+/// id order sends its template's next chunk. Device `d` replays
+/// template `d % templates.len()`, wrapping at the end of it.
+fn play_round(svc: &mut IngestService, templates: &[Template], round: usize) {
+    for device in 0..DEVICES {
+        let template = &templates[device as usize % templates.len()];
+        let chunk = &template.rounds[round % template.rounds.len()];
+        if !chunk.is_empty() {
+            assert!(svc.offer(device, chunk), "the queue has no high-water mark");
+        }
+    }
+    svc.process_round(1);
+}
+
+#[test]
+fn opening_and_evicting_sessions_at_the_bound_allocates_nothing() {
+    let templates = [
+        capture_template(LinkProfile::CLEAN, 12, 100, 20050607),
+        capture_template(LinkProfile::LOSSY, 12, 100, 20050607),
+    ];
+    let rounds = templates.iter().map(|t| t.rounds.len()).max().unwrap_or(0);
+    let mut svc = IngestService::new(&IngestConfig {
+        shards: 1,
+        high_water: usize::MAX,
+        session_capacity: CAPACITY,
+    });
+
+    // Warm-up: one pass over every chunk fills the slot table to its
+    // bound and grows the shard's queue, byte slab and device index to
+    // the most this schedule needs.
+    for round in 0..rounds {
+        play_round(&mut svc, &templates, round);
+    }
+    assert_eq!(
+        svc.live_sessions(),
+        CAPACITY,
+        "the slot table is at its bound"
+    );
+
+    // The measured pass replays the same chunks: 48 opens and 48
+    // evictions a round, each session decoding a captured stream.
+    let before = allocations_on_this_thread();
+    for round in rounds..2 * rounds {
+        play_round(&mut svc, &templates, round);
+    }
+    let allocated = allocations_on_this_thread() - before;
+
+    let stats = svc.finish().totals;
+    let batches = stats.batches_in;
+    assert_eq!(
+        stats.sessions_opened, batches,
+        "every batch opens a session"
+    );
+    assert_eq!(stats.evicted, batches - CAPACITY as u64);
+    assert!(stats.records > 0, "the sessions must decode records");
+    assert!(
+        stats.link.out_of_order > 0,
+        "the lossy stream must park records"
+    );
+    assert_eq!(
+        allocated, 0,
+        "sessions opened and evicted at the bound must not allocate"
+    );
+}

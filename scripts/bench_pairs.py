@@ -19,12 +19,23 @@ median [Q1, Q3] over the pairs and the number of pairs the change won
 printed, which must agree when the change is meant to keep results
 unchanged. --seconds defaults to BENCHMARK.json's run_seconds.
 
-Exits 1 when a run fails or the two sides print different digests.
+--workload takes any workload perfbench/run.py knows. One that
+BENCHMARK.json does not list (fleet_churn) may fail its correctness
+gate on both sides: its runs still count towards the metrics, and the
+report prints each side's `correct` flags and gate failures next to the
+digests instead of calling the runs failed.
+
+Exits 1 when a run prints no result, when a listed workload's run fails
+its gate, or when the two sides differ in digests or, for an unlisted
+workload, in `correct` flags.
 """
+
+import importlib.util
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -59,8 +70,17 @@ def build(root, target):
     )
 
 
+def known_workloads():
+    """The workloads perfbench/run.py accepts."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join("perfbench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
 def run_side(root, target, workload, seconds, seed):
-    """One perfbench run; returns (result object or None, digests)."""
+    """One perfbench run; returns (result object or None, digests, gate failures)."""
     env = dict(os.environ, CARGO_TARGET_DIR=target)
     proc = subprocess.run(
         [
@@ -71,10 +91,19 @@ def run_side(root, target, workload, seconds, seed):
     )
     lines = proc.stdout.strip().splitlines()
     digests = [ln.split()[1] for ln in lines if ln.startswith("digest ")]
-    if proc.returncode != 0 or not lines:
+    # Every pass repeats its gate failures; keep each failure once.
+    gates = [re.sub(r"^GATE FAILED: pass \d+: ", "GATE FAILED: ", ln)
+             for ln in lines if ln.startswith("GATE FAILED: ")]
+    # A failed gate still prints the result object; anything else that
+    # exits non-zero does not.
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = None
+    if result is None or (proc.returncode != 0 and not gates):
         sys.stderr.write(proc.stderr[-2000:])
-        return None, digests
-    return json.loads(lines[-1]), digests
+        return None, digests, gates
+    return result, digests, gates
 
 
 def spread(values):
@@ -90,8 +119,8 @@ def main():
         bench = json.load(f)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rev", default="HEAD")
-    ap.add_argument("--workload", action="append",
-                    choices=[w["name"] for w in bench["workloads"]])
+    listed = [w["name"] for w in bench["workloads"]]
+    ap.add_argument("--workload", action="append", choices=known_workloads())
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
     ap.add_argument("--seed", type=int, default=20050607)
@@ -111,16 +140,22 @@ def main():
         print(f"building {side} ({root})", file=sys.stderr, flush=True)
         build(root, target)
     ok = True
-    for workload in args.workload or [w["name"] for w in bench["workloads"]]:
+    for workload in args.workload or listed:
+        gated = workload in listed
         results = {"parent": [], "change": []}
         digests = {"parent": set(), "change": set()}
+        correct = {"parent": set(), "change": set()}
+        gates = {"parent": set(), "change": set()}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 root, target = sides[side]
-                res, dig = run_side(root, target, workload, args.seconds, args.seed)
+                res, dig, gate = run_side(root, target, workload, args.seconds, args.seed)
                 digests[side].update(dig)
-                if res is None or not res.get("correct", False):
+                gates[side].update(gate)
+                if res is not None:
+                    correct[side].add(bool(res.get("correct", False)))
+                if res is None or (gated and not res.get("correct", False)):
                     print(f"{workload} pair {i + 1}: {side} run failed", flush=True)
                     ok = False
                     res = None
@@ -153,6 +188,14 @@ def main():
         print(f"  digests parent {sorted(digests['parent'])} change "
               f"{sorted(digests['change'])} ({'match' if same else 'DIFFER'})")
         ok &= same
+        if not gated:
+            agree = correct["parent"] == correct["change"]
+            print(f"  correct parent {sorted(correct['parent'])} change "
+                  f"{sorted(correct['change'])} ({'match' if agree else 'DIFFER'})")
+            for side in ("parent", "change"):
+                for gate in sorted(gates[side]):
+                    print(f"  {side}: {gate}")
+            ok &= agree
         sys.stdout.flush()
     return 0 if ok else 1
 
