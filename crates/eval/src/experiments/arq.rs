@@ -9,39 +9,26 @@
 //! bit-error rate × jitter and compare the fraction of emitted records
 //! a host actually receives, and whether the interaction-event sequence
 //! reconstructs exactly (in order, exactly once), with ARQ on and off.
+//!
+//! Each session is a [`ScriptedSession`] over a [`LinkProfile`], the
+//! one scripted device session `distscroll_ingest::loadgen` also
+//! captures the fleet's replay templates from.
 
-use distscroll_core::device::DistScrollDevice;
-use distscroll_core::events::TimedEvent;
-use distscroll_core::menu::Menu;
 use distscroll_core::profile::{DeviceProfile, RecognizerKind};
 use distscroll_host::session::SessionLog;
-use distscroll_host::telemetry::{EventKind, Record, StreamDecoder};
+use distscroll_host::telemetry::{EventKind, Record};
 use distscroll_hw::arq::LinkQuality;
-use distscroll_hw::board::Telemetry;
-use distscroll_hw::clock::SimDuration;
-use distscroll_hw::link::RadioChannel;
-use distscroll_hw::power::Battery;
+use distscroll_ingest::loadgen::{LinkProfile, ScriptedSession};
 
 use crate::report::Table;
 
 use super::{Effort, ExperimentReport};
 
-/// One swept link condition.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkCondition {
-    /// Frame-drop probability, both directions.
-    pub drop_prob: f64,
-    /// Bit error rate, both directions.
-    pub ber: f64,
-    /// Arrival jitter in milliseconds (reorders frames on the air).
-    pub jitter_ms: u64,
-}
-
-/// One session's outcome under a condition, with or without ARQ.
+/// One session's outcome under a link condition, with or without ARQ.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArqOutcome {
     /// The swept condition.
-    pub condition: LinkCondition,
+    pub condition: LinkProfile,
     /// Whether the reliable transport was on.
     pub arq: bool,
     /// Records the firmware emitted (states + events).
@@ -62,27 +49,23 @@ pub struct ArqOutcome {
     pub quality: LinkQuality,
 }
 
-/// Drives one scripted session through a lossy/jittery channel and
-/// reconstructs it on the host side.
+/// Drives one [`ScriptedSession`] of `session_ms` through a
+/// lossy/jittery channel and reconstructs it on the host side.
 ///
 /// The script sweeps the hand across the islands and clicks on a fixed
 /// cadence, so the event stream holds every tag kind the link must
 /// preserve; the tail runs with the hand at rest so the retransmit
-/// queue can drain before the books are balanced.
-pub fn run_session(condition: LinkCondition, arq: bool, session_ms: u64, seed: u64) -> ArqOutcome {
-    run_session_with_recognizer(condition, arq, session_ms, seed, RecognizerKind::Classic)
-}
-
-/// Like [`run_session`], with the firmware recognizer selectable: the
-/// transport must deliver the event stream faithfully whichever front
-/// end produced it (the segmented recognizer coalesces highlights, so
-/// its sessions exercise a sparser, burstier record pattern).
+/// queue can drain before the books are balanced. The firmware
+/// recognizer is selectable: the transport must deliver the event
+/// stream faithfully whichever front end produced it (the segmented
+/// recognizer coalesces highlights, so its sessions exercise a sparser,
+/// burstier record pattern).
 #[expect(
     clippy::expect_used,
     reason = "battery is sized for the scripted run; Err means the harness broke, not data"
 )]
-pub fn run_session_with_recognizer(
-    condition: LinkCondition,
+pub fn run_session(
+    condition: LinkProfile,
     arq: bool,
     session_ms: u64,
     seed: u64,
@@ -91,76 +74,39 @@ pub fn run_session_with_recognizer(
     let mut profile = DeviceProfile::paper();
     profile.arq = arq;
     profile.recognizer = recognizer;
-    let mut dev = DistScrollDevice::new(profile, Menu::flat(8), seed);
-    dev.set_battery(Battery::with_capacity(1e12));
-    let mut radio = RadioChannel::lossy(condition.drop_prob, condition.ber);
-    radio.jitter = SimDuration::from_millis(condition.jitter_ms);
-    dev.set_radio(radio);
+    let steps = session_ms / 100;
+    let mut session = ScriptedSession::new(profile, condition, seed, steps);
 
-    let mut decoder = if arq {
-        StreamDecoder::with_arq()
-    } else {
-        StreamDecoder::new()
-    };
     let mut expected: Vec<EventKind> = Vec::new();
     let mut got: Vec<EventKind> = Vec::new();
     let mut log = SessionLog::new();
-    let mut air: Vec<u8> = Vec::new();
-
-    let pump = |dev: &mut DistScrollDevice,
-                decoder: &mut StreamDecoder,
-                got: &mut Vec<EventKind>,
-                log: &mut SessionLog,
-                air: &mut Vec<u8>| {
-        air.clear();
-        dev.poll_telemetry(&mut |t: &Telemetry| air.extend_from_slice(&t.bytes));
-        decoder.push_bytes_with(air, |rec| {
-            if let Record::Event(e) = rec {
-                got.push(e.kind);
-            }
-            log.ingest(rec);
-        });
-        if let Some(ack) = decoder.ack_payload() {
-            dev.host_send(&ack);
-        }
-    };
-
-    let steps = session_ms / 100;
-    for s in 0..steps {
-        // A slow sweep across the 4–30 cm range keeps the highlight
-        // moving; periodic clicks add activations and back-ups.
-        let phase = (s as f64 * 0.37).sin();
-        dev.set_distance(17.0 + 13.0 * phase);
-        dev.run_for_ms(100).expect("fresh battery");
-        if s % 7 == 3 {
-            dev.click_select().expect("fresh battery");
-        }
-        if s % 11 == 6 {
-            dev.click_back().expect("fresh battery");
-        }
-        dev.poll_events(&mut |e: &TimedEvent| {
-            if let Some(kind) = EventKind::from_tag(e.event.wire_tag()) {
-                expected.push(kind);
-            }
-        });
-        pump(&mut dev, &mut decoder, &mut got, &mut log, &mut air);
-    }
-    // Idle tail: the hand rests, the retransmit queue drains through
-    // its exponential backoff, late acks land.
-    for _ in 0..30 {
-        dev.run_for_ms(100).expect("fresh battery");
-        dev.poll_events(&mut |e: &TimedEvent| {
-            if let Some(kind) = EventKind::from_tag(e.event.wire_tag()) {
-                expected.push(kind);
-            }
-        });
-        pump(&mut dev, &mut decoder, &mut got, &mut log, &mut air);
+    // The scripted steps, then an idle tail: the hand rests, the
+    // retransmit queue drains through its exponential backoff, late
+    // acks land.
+    for _ in 0..steps + 30 {
+        session
+            .epoch(
+                100,
+                |e| {
+                    if let Some(kind) = EventKind::from_tag(e.event.wire_tag()) {
+                        expected.push(kind);
+                    }
+                },
+                |rec| {
+                    if let Record::Event(e) = rec {
+                        got.push(e.kind);
+                    }
+                    log.ingest(rec);
+                },
+            )
+            .expect("fresh battery");
     }
 
-    let emitted = dev.firmware().records_emitted();
-    let delivered = decoder.records_ok();
-    let mut quality = dev.firmware().arq_quality().unwrap_or_default();
-    if let Some(rx) = decoder.arq_quality() {
+    let firmware = session.device().firmware();
+    let emitted = firmware.records_emitted();
+    let delivered = session.decoder().records_ok();
+    let mut quality = firmware.arq_quality().unwrap_or_default();
+    if let Some(rx) = session.decoder().arq_quality() {
         quality.merge(&rx);
     }
     let session_monotonic = log.records().windows(2).all(|w| w[0].tick <= w[1].tick);
@@ -180,41 +126,33 @@ pub fn run_session_with_recognizer(
 /// Runs L2.
 pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let session_ms = effort.pick(3_000, 12_000);
-    let conditions: &[LinkCondition] = effort.pick(
+    let conditions: &[LinkProfile] = effort.pick(
         &[
-            LinkCondition {
-                drop_prob: 0.0,
-                ber: 0.0,
-                jitter_ms: 0,
-            },
-            LinkCondition {
+            LinkProfile::CLEAN,
+            LinkProfile {
                 drop_prob: 0.1,
                 ber: 0.0,
                 jitter_ms: 2,
             },
         ][..],
         &[
-            LinkCondition {
-                drop_prob: 0.0,
-                ber: 0.0,
-                jitter_ms: 0,
-            },
-            LinkCondition {
+            LinkProfile::CLEAN,
+            LinkProfile {
                 drop_prob: 0.02,
                 ber: 0.0,
                 jitter_ms: 1,
             },
-            LinkCondition {
+            LinkProfile {
                 drop_prob: 0.05,
                 ber: 0.0005,
                 jitter_ms: 2,
             },
-            LinkCondition {
+            LinkProfile {
                 drop_prob: 0.1,
                 ber: 0.0,
                 jitter_ms: 2,
             },
-            LinkCondition {
+            LinkProfile {
                 drop_prob: 0.2,
                 ber: 0.001,
                 jitter_ms: 5,
@@ -250,8 +188,20 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let mut pairs: Vec<(ArqOutcome, ArqOutcome)> = Vec::new();
     for (i, &condition) in conditions.iter().enumerate() {
         let session_seed = seed.wrapping_add(0x9e37_79b9 * (i as u64 + 1));
-        let raw = run_session(condition, false, session_ms, session_seed);
-        let arq = run_session(condition, true, session_ms, session_seed);
+        let raw = run_session(
+            condition,
+            false,
+            session_ms,
+            session_seed,
+            RecognizerKind::Classic,
+        );
+        let arq = run_session(
+            condition,
+            true,
+            session_ms,
+            session_seed,
+            RecognizerKind::Classic,
+        );
         table.row(&[
             format!("{:.0}%", condition.drop_prob * 100.0),
             format!("{:.4}", condition.ber),
@@ -284,7 +234,7 @@ pub fn run(effort: Effort, seed: u64) -> ExperimentReport {
     let mut seg_outcomes: Vec<ArqOutcome> = Vec::new();
     for (i, &condition) in conditions.iter().enumerate() {
         let session_seed = seed.wrapping_add(0x7f4a_7c15 * (i as u64 + 1));
-        let out = run_session_with_recognizer(
+        let out = run_session(
             condition,
             true,
             session_ms,
@@ -384,15 +334,18 @@ mod tests {
         assert!(r.shape_holds, "{}", r.render());
     }
 
+    /// The headline condition at a fixed seed. Beyond the shape, the
+    /// exact books are golden: a change to the script, the device, the
+    /// radio or the host pump moves at least one of them.
     #[test]
     fn arq_beats_fire_and_forget_at_ten_percent_drop() {
-        let condition = LinkCondition {
+        let condition = LinkProfile {
             drop_prob: 0.1,
             ber: 0.0,
             jitter_ms: 2,
         };
-        let raw = run_session(condition, false, 3_000, 7);
-        let arq = run_session(condition, true, 3_000, 7);
+        let raw = run_session(condition, false, 3_000, 7, RecognizerKind::Classic);
+        let arq = run_session(condition, true, 3_000, 7, RecognizerKind::Classic);
         assert!(
             raw.delivered_frac > 0.80 && raw.delivered_frac < 0.97,
             "fire-and-forget should lose about a tenth: {}",
@@ -405,16 +358,70 @@ mod tests {
         );
         assert!(arq.events_exact && arq.session_monotonic);
         assert!(arq.quality.retransmitted > 0, "loss must force retransmits");
+
+        assert_eq!(
+            (raw.emitted, raw.delivered, raw.events_expected),
+            (96, 93, 28)
+        );
+        assert!(!raw.events_exact);
+        assert_eq!(raw.quality, LinkQuality::default());
+        assert_eq!(
+            (arq.emitted, arq.delivered, arq.events_expected),
+            (97, 97, 29)
+        );
+        assert_eq!(
+            arq.quality,
+            LinkQuality {
+                sent: 153,
+                retransmitted: 56,
+                acked: 96,
+                expired: 0,
+                shed_state: 0,
+                delivered: 97,
+                duplicates: 36,
+                out_of_order: 7,
+            }
+        );
+    }
+
+    /// A golden segmented-firmware session with bit errors: the
+    /// recognizer choice reaches the scripted device.
+    #[test]
+    fn segmented_session_matches_the_golden_books() {
+        let condition = LinkProfile {
+            drop_prob: 0.05,
+            ber: 0.0005,
+            jitter_ms: 2,
+        };
+        let seg = run_session(condition, true, 3_000, 7, RecognizerKind::Segmented);
+        assert_eq!(
+            (seg.emitted, seg.delivered, seg.events_expected),
+            (84, 84, 16)
+        );
+        assert!(seg.events_exact);
+        assert_eq!(
+            seg.quality,
+            LinkQuality {
+                sent: 138,
+                retransmitted: 54,
+                acked: 82,
+                expired: 0,
+                shed_state: 0,
+                delivered: 84,
+                duplicates: 39,
+                out_of_order: 2,
+            }
+        );
     }
 
     #[test]
     fn raw_session_never_panics_under_heavy_loss() {
-        let condition = LinkCondition {
+        let condition = LinkProfile {
             drop_prob: 0.3,
             ber: 0.01,
             jitter_ms: 8,
         };
-        let raw = run_session(condition, false, 2_000, 11);
+        let raw = run_session(condition, false, 2_000, 11, RecognizerKind::Classic);
         assert!(raw.delivered_frac < 1.0);
     }
 }

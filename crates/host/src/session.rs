@@ -8,9 +8,8 @@
 
 use crate::telemetry::{EventKind, Record, Stamp16};
 
-/// Device tick period assumed for time conversion, seconds. The
-/// firmware default is 10 ms; pass the actual value if configured
-/// differently.
+/// Device tick period the log converts ticks to seconds with: the
+/// firmware's 10 ms.
 pub const DEFAULT_TICK_S: f64 = 0.010;
 
 /// A record with its unwrapped (monotonic) tick count.
@@ -46,29 +45,12 @@ pub struct SessionLog {
     /// Newest point of the timeline seen so far: the 16-bit stamp and
     /// the unwrapped tick it resolved to.
     frontier: Option<(Stamp16, u64)>,
-    tick_s: f64,
 }
 
 impl SessionLog {
-    /// An empty log assuming the default 10 ms tick.
+    /// An empty log on the [`DEFAULT_TICK_S`] timeline.
     pub fn new() -> Self {
-        SessionLog {
-            tick_s: DEFAULT_TICK_S,
-            ..SessionLog::default()
-        }
-    }
-
-    /// An empty log for a device configured with a different tick.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick_s` is not positive.
-    pub fn with_tick(tick_s: f64) -> Self {
-        assert!(tick_s > 0.0, "tick period must be positive");
-        SessionLog {
-            tick_s,
-            ..SessionLog::default()
-        }
+        SessionLog::default()
     }
 
     /// Ingests one record, unwrapping its 16-bit stamp.
@@ -134,7 +116,7 @@ impl SessionLog {
     /// Session length in seconds (first to last record).
     pub fn duration_s(&self) -> f64 {
         match (self.records.first(), self.records.last()) {
-            (Some(a), Some(b)) => (b.tick - a.tick) as f64 * self.tick_s,
+            (Some(a), Some(b)) => (b.tick - a.tick) as f64 * DEFAULT_TICK_S,
             _ => 0.0,
         }
     }
@@ -155,7 +137,7 @@ impl SessionLog {
                         out.push(SelectionMeasure {
                             from_tick: segment_start,
                             at_tick: tr.tick,
-                            duration_s: (tr.tick - segment_start) as f64 * self.tick_s,
+                            duration_s: (tr.tick - segment_start) as f64 * DEFAULT_TICK_S,
                             selected: path.last().copied(),
                             path: std::mem::take(&mut path),
                             reversals,
@@ -183,7 +165,7 @@ impl SessionLog {
     pub fn to_csv(&self) -> String {
         let mut out = String::from("tick,seconds,kind,code,island,level,highlighted,event,aux\n");
         for tr in &self.records {
-            let secs = tr.tick as f64 * self.tick_s;
+            let secs = tr.tick as f64 * DEFAULT_TICK_S;
             match tr.record {
                 Record::State(s) => {
                     out.push_str(&format!(
@@ -352,13 +334,5 @@ mod tests {
         assert!(lines[1].contains("state"));
         assert!(lines[1].contains("123"));
         assert!(lines[2].contains("Highlight"));
-    }
-
-    #[test]
-    fn custom_tick_scales_times() {
-        let mut log = SessionLog::with_tick(0.02);
-        log.ingest(state(0, 0));
-        log.ingest(state(100, 0));
-        assert!((log.duration_s() - 2.0).abs() < 1e-9);
     }
 }

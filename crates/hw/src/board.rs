@@ -137,23 +137,17 @@ pub struct Board {
     battery: Battery,
     load: LoadProfile,
     radio: RadioChannel,
-    air: Vec<Telemetry>,
-    /// Scratch for frames that have arrived, reused across polls.
-    arrived: Vec<Telemetry>,
-    /// Frames in flight from the host back to the device (the ARQ
-    /// acknowledgement channel), through the same radio model.
-    host_air: Vec<Telemetry>,
-    /// Scratch for arrived host frames, reused across polls.
-    host_arrived: Vec<Telemetry>,
+    /// Device-to-host telemetry.
+    uplink: Lane,
+    /// Host-to-device frames (the ARQ acknowledgement channel), through
+    /// the same radio model.
+    downlink: Lane,
     /// The device-side UART decoder for host frames.
     host_decoder: FrameDecoder,
-    /// Recycled wire-frame byte buffers, so steady-state telemetry
-    /// traffic stops allocating once capacities have warmed up.
+    /// Recycled wire-frame byte buffers shared by both lanes, so
+    /// steady-state traffic stops allocating once capacities have warmed
+    /// up.
     spare: Vec<Vec<u8>>,
-    frames_sent: u64,
-    frames_dropped: u64,
-    host_frames_sent: u64,
-    host_frames_dropped: u64,
     browned_out: bool,
     sensor_powered: bool,
 }
@@ -163,7 +157,7 @@ impl std::fmt::Debug for Board {
         f.debug_struct("Board")
             .field("now", &self.clock.now())
             .field("soc", &self.battery.state_of_charge())
-            .field("frames_sent", &self.frames_sent)
+            .field("frames_sent", &self.uplink.sent)
             .field("browned_out", &self.browned_out)
             .finish_non_exhaustive()
     }
@@ -199,16 +193,10 @@ impl Board {
             battery: Battery::fresh(),
             load: LoadProfile::distscroll(),
             radio: RadioChannel::clean(),
-            air: Vec::new(),
-            arrived: Vec::new(),
-            host_air: Vec::new(),
-            host_arrived: Vec::new(),
+            uplink: Lane::default(),
+            downlink: Lane::default(),
             host_decoder: FrameDecoder::new(),
             spare: Vec::new(),
-            frames_sent: 0,
-            frames_dropped: 0,
-            host_frames_sent: 0,
-            host_frames_dropped: 0,
             browned_out: false,
             sensor_powered: true,
         }
@@ -411,32 +399,12 @@ impl Board {
     /// recycled from previous polls, so steady-state traffic allocates
     /// nothing once capacities have warmed up.
     pub fn send_telemetry<R: Rng + ?Sized>(&mut self, payload: &[u8], rng: &mut R) {
-        let mut frame = self.spare.pop().unwrap_or_default();
-        encode_frame_into(payload, &mut frame);
-        self.frames_sent += 1;
-        // Encoding + handing to the radio: ~8 cycles per byte.
-        self.mcu.charge(8 * frame.len() as u64);
-        match self
-            .radio
-            .transmit_in_place(&mut frame, self.clock.now(), rng)
-        {
-            Some(arrival) => self.air.push(Telemetry {
-                arrival,
-                bytes: frame,
-            }),
-            None => {
-                self.frames_dropped += 1;
-                self.spare.push(frame);
-            }
-        }
-    }
-
-    /// Moves every frame whose arrival time has passed from `air` into
-    /// the `arrived` scratch, in arrival order (stable for ties), without
-    /// allocating.
-    fn collect_arrived(&mut self) {
         let now = self.clock.now();
-        collect_due(&mut self.air, &mut self.arrived, now);
+        let len = self
+            .uplink
+            .send(payload, &self.radio, now, &mut self.spare, rng);
+        // Encoding + handing to the radio: ~8 cycles per byte.
+        self.mcu.charge(8 * len as u64);
     }
 
     /// Visits every frame that has arrived at the host by now, in
@@ -445,24 +413,18 @@ impl Board {
     /// This is the zero-allocation poll: in steady state neither the
     /// partition, the ordering, nor the visit allocates.
     pub fn poll_received<S: TelemetrySink + ?Sized>(&mut self, sink: &mut S) {
-        self.collect_arrived();
-        for t in &self.arrived {
-            sink.frame(t);
-        }
-        for mut t in self.arrived.drain(..) {
-            t.bytes.clear();
-            self.spare.push(t.bytes);
-        }
+        let now = self.clock.now();
+        self.uplink.poll(now, &mut self.spare, |t| sink.frame(t));
     }
 
     /// Frames handed to the radio since boot.
     pub fn frames_sent(&self) -> u64 {
-        self.frames_sent
+        self.uplink.sent
     }
 
     /// Frames the channel dropped since boot.
     pub fn frames_dropped(&self) -> u64 {
-        self.frames_dropped
+        self.uplink.dropped
     }
 
     /// Queues a payload from the host back to the device — the reverse
@@ -473,93 +435,113 @@ impl Board {
     /// dropped, corrupted or jittered. Buffers are recycled from the
     /// shared spare pool.
     pub fn host_send<R: Rng + ?Sized>(&mut self, payload: &[u8], rng: &mut R) {
-        let mut frame = self.spare.pop().unwrap_or_default();
-        encode_frame_into(payload, &mut frame);
-        self.host_frames_sent += 1;
-        match self
-            .radio
-            .transmit_in_place(&mut frame, self.clock.now(), rng)
-        {
-            Some(arrival) => self.host_air.push(Telemetry {
-                arrival,
-                bytes: frame,
-            }),
-            None => {
-                self.host_frames_dropped += 1;
-                frame.clear();
-                self.spare.push(frame);
-            }
-        }
+        let now = self.clock.now();
+        self.downlink
+            .send(payload, &self.radio, now, &mut self.spare, rng);
     }
 
     /// Visits every frame payload the device's UART decoder completes
     /// from host frames that have arrived by now, in arrival order.
     ///
-    /// Payloads failing their CRC are dropped by the decoder (visible in
-    /// [`Board::host_decoder_frames_bad`]); byte buffers are recycled,
-    /// so a steady-state poll loop performs no heap allocation.
+    /// Payloads failing their CRC are dropped by the decoder; byte
+    /// buffers are recycled, so a steady-state poll loop performs no
+    /// heap allocation.
     pub fn poll_host_received<F: FnMut(&[u8])>(&mut self, mut sink: F) {
         let now = self.clock.now();
-        collect_due(&mut self.host_air, &mut self.host_arrived, now);
-        for t in &self.host_arrived {
-            self.host_decoder.push_with(&t.bytes, |res| {
+        let decoder = &mut self.host_decoder;
+        self.downlink.poll(now, &mut self.spare, |t| {
+            decoder.push_with(&t.bytes, |res| {
                 if let Ok(payload) = res {
                     sink(payload);
                 }
             });
-        }
-        for mut t in self.host_arrived.drain(..) {
-            t.bytes.clear();
-            self.spare.push(t.bytes);
-        }
+        });
     }
 
     /// Host-to-device frames handed to the radio since boot.
     pub fn host_frames_sent(&self) -> u64 {
-        self.host_frames_sent
+        self.downlink.sent
     }
 
     /// Host-to-device frames the channel dropped since boot.
     pub fn host_frames_dropped(&self) -> u64 {
-        self.host_frames_dropped
-    }
-
-    /// Host-to-device frames the device rejected (bad CRC) since boot.
-    pub fn host_decoder_frames_bad(&self) -> u64 {
-        self.host_decoder.frames_bad()
+        self.downlink.dropped
     }
 }
 
-/// Moves every frame whose arrival time has passed from `air` into the
-/// `arrived` scratch, in arrival order (stable for ties), without
-/// allocating.
-fn collect_due(air: &mut Vec<Telemetry>, arrived: &mut Vec<Telemetry>, now: SimInstant) {
-    let mut keep = 0;
-    for i in 0..air.len() {
-        if air[i].arrival <= now {
-            let t = std::mem::replace(
-                &mut air[i],
-                Telemetry {
-                    arrival: SimInstant::BOOT,
-                    bytes: Vec::new(),
-                },
-            );
-            arrived.push(t);
-        } else {
-            air.swap(keep, i);
-            keep += 1;
+/// One direction of the radio link: frames in flight, the scratch their
+/// arrivals are sorted in, and the lane's books.
+#[derive(Default)]
+struct Lane {
+    /// Frames in flight, in send order.
+    air: Vec<Telemetry>,
+    /// Scratch for frames that have arrived, reused across polls.
+    arrived: Vec<Telemetry>,
+    sent: u64,
+    dropped: u64,
+}
+
+impl Lane {
+    /// Encodes `payload` into a recycled buffer and hands it to `radio`;
+    /// a dropped frame's buffer goes straight back to `spare`. Returns
+    /// the frame's length on the wire.
+    fn send<R: Rng + ?Sized>(
+        &mut self,
+        payload: &[u8],
+        radio: &RadioChannel,
+        now: SimInstant,
+        spare: &mut Vec<Vec<u8>>,
+        rng: &mut R,
+    ) -> usize {
+        let mut frame = spare.pop().unwrap_or_default();
+        encode_frame_into(payload, &mut frame);
+        let len = frame.len();
+        self.sent += 1;
+        match radio.transmit_in_place(&mut frame, now, rng) {
+            Some(arrival) => self.air.push(Telemetry {
+                arrival,
+                bytes: frame,
+            }),
+            None => {
+                self.dropped += 1;
+                recycle(spare, frame);
+            }
+        }
+        len
+    }
+
+    /// Visits every frame whose arrival time has passed, in arrival
+    /// order (stable for ties), then recycles their buffers into
+    /// `spare`. Allocates nothing once capacities have warmed up.
+    fn poll(
+        &mut self,
+        now: SimInstant,
+        spare: &mut Vec<Vec<u8>>,
+        mut visit: impl FnMut(&Telemetry),
+    ) {
+        self.arrived
+            .extend(self.air.extract_if(.., |t| t.arrival <= now));
+        // Stable insertion sort by arrival: queues are a handful of
+        // frames deep, and `sort_by_key` would allocate.
+        let arrived = &mut self.arrived;
+        for i in 1..arrived.len() {
+            let mut j = i;
+            while j > 0 && arrived[j - 1].arrival > arrived[j].arrival {
+                arrived.swap(j - 1, j);
+                j -= 1;
+            }
+        }
+        for t in arrived.drain(..) {
+            visit(&t);
+            recycle(spare, t.bytes);
         }
     }
-    air.truncate(keep);
-    // Stable insertion sort by arrival: queues are a handful of frames
-    // deep, and `sort_by_key` would allocate.
-    for i in 1..arrived.len() {
-        let mut j = i;
-        while j > 0 && arrived[j - 1].arrival > arrived[j].arrival {
-            arrived.swap(j - 1, j);
-            j -= 1;
-        }
-    }
+}
+
+/// Returns a wire buffer, emptied, to the spare pool.
+fn recycle(spare: &mut Vec<Vec<u8>>, mut bytes: Vec<u8>) {
+    bytes.clear();
+    spare.push(bytes);
 }
 
 impl Default for Board {
@@ -727,6 +709,46 @@ mod tests {
         board.send_telemetry(b"x", &mut rng);
         assert_eq!(board.frames_sent(), 1);
         assert_eq!(board.frames_dropped(), 1);
+    }
+
+    /// Over seeded traffic in both directions on a lossy, jittery radio,
+    /// each lane's books balance after every step: every frame sent was
+    /// delivered, dropped, or is still in the air.
+    #[test]
+    fn each_lane_balances_sent_against_delivered_dropped_and_in_flight() {
+        let mut board = Board::new();
+        let mut radio = RadioChannel::lossy(0.2, 0.001);
+        radio.jitter = SimDuration::from_millis(30);
+        board.set_radio(radio);
+        let mut rng = StdRng::seed_from_u64(20050607);
+        let (mut up, mut down) = (0u64, 0u64);
+        let mut most_in_flight = 0;
+        for i in 0..2_000u32 {
+            board.send_telemetry(&i.to_le_bytes(), &mut rng);
+            if i % 3 == 0 {
+                board.host_send(b"K\x00\x07\x01", &mut rng);
+            }
+            board.step(SimDuration::from_millis(1 + u64::from(i % 7)));
+            if i % 5 == 0 {
+                board.poll_received(&mut |_: &Telemetry| up += 1);
+                // The lane itself, not the decoder behind it: a frame the
+                // channel corrupted is still a delivered frame.
+                let now = board.now();
+                board.downlink.poll(now, &mut board.spare, |_| down += 1);
+            }
+            for (lane, delivered) in [(&board.uplink, up), (&board.downlink, down)] {
+                assert_eq!(
+                    lane.sent,
+                    delivered + lane.dropped + lane.air.len() as u64,
+                    "step {i}"
+                );
+                most_in_flight = most_in_flight.max(lane.air.len());
+            }
+        }
+        assert_eq!(board.frames_sent(), 2_000);
+        assert_eq!(board.host_frames_sent(), 667);
+        assert!(board.frames_dropped() > 0 && board.host_frames_dropped() > 0);
+        assert!(up > 0 && down > 0 && most_in_flight > 1);
     }
 
     #[test]

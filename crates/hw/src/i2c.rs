@@ -188,16 +188,6 @@ impl I2cBus {
             .find(|d| d.address() == address)
             .map(|b| b.as_ref())
     }
-
-    /// Mutably borrows an attached device.
-    pub fn device_mut(&mut self, address: u8) -> Option<&mut (dyn I2cDevice + 'static)> {
-        for d in self.devices.iter_mut() {
-            if d.address() == address {
-                return Some(d.as_mut());
-            }
-        }
-        None
-    }
 }
 
 impl Default for I2cBus {
@@ -333,6 +323,5 @@ mod tests {
         }));
         assert!(bus.device(0x22).is_some());
         assert!(bus.device(0x23).is_none());
-        assert!(bus.device_mut(0x22).is_some());
     }
 }

@@ -83,7 +83,6 @@ impl MemoryMap {
 pub struct Watchdog {
     timeout: SimDuration,
     last_fed: SimInstant,
-    enabled: bool,
     resets: u64,
 }
 
@@ -93,7 +92,6 @@ impl Watchdog {
         Watchdog {
             timeout,
             last_fed: SimInstant::BOOT,
-            enabled: true,
             resets: 0,
         }
     }
@@ -101,11 +99,6 @@ impl Watchdog {
     /// Feeds (clears) the watchdog.
     pub fn feed(&mut self, now: SimInstant) {
         self.last_fed = now;
-    }
-
-    /// Enables or disables the watchdog (config-bit equivalent).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
     }
 
     /// Checks the timer at `now`.
@@ -116,7 +109,7 @@ impl Watchdog {
     /// within its timeout; the reset is also counted, and the timer
     /// restarts as a reset chip's would.
     pub fn check(&mut self, now: SimInstant) -> Result<(), HwError> {
-        if self.enabled && now.saturating_since(self.last_fed) > self.timeout {
+        if now.saturating_since(self.last_fed) > self.timeout {
             self.resets += 1;
             self.last_fed = now;
             return Err(HwError::WatchdogReset);
@@ -285,11 +278,6 @@ impl Mcu {
         }
         self.cycles_charged as f64 / (elapsed * INSTRUCTION_HZ as f64)
     }
-
-    /// Wall time the charged cycles take at 1 MIPS.
-    pub fn charged_time(&self) -> SimDuration {
-        SimDuration::from_micros(self.cycles_charged * 1_000_000 / INSTRUCTION_HZ)
-    }
 }
 
 #[cfg(test)]
@@ -324,21 +312,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_watchdog_never_fires() {
-        let mut wd = Watchdog::new(SimDuration::from_millis(10));
-        wd.set_enabled(false);
-        assert!(wd.check(at_ms(10_000)).is_ok());
-        assert_eq!(wd.reset_count(), 0);
-    }
-
-    #[test]
     fn utilization_reflects_charged_cycles() {
         let mut mcu = Mcu::new(SimInstant::BOOT);
         // 100k cycles in 1 second at 1 MIPS: 10 % load.
         mcu.charge(100_000);
         let u = mcu.utilization(at_ms(1000));
         assert!((u - 0.1).abs() < 1e-9, "utilization {u}");
-        assert_eq!(mcu.charged_time(), SimDuration::from_millis(100));
     }
 
     #[test]

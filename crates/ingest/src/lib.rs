@@ -54,9 +54,12 @@
 //! registry ([`shard`]): every session in this crate exists in exactly
 //! one shard's books, and the fleet ledger test
 //! (`tests/fleet_ledger.rs`) checks that every offered byte and every
-//! frame on the air is accounted for there. The capture-side
-//! [`loadgen`] is the one other place that opens decoders; they measure
-//! ground truth outside any shard.
+//! frame on the air is accounted for there. The capture side is the one
+//! other place that opens decoders, outside any shard:
+//! [`loadgen::ScriptedSession`], the one scripted device session that
+//! experiment L2 and [`loadgen::capture_template`] both drive, hosts a
+//! live decoder, and `capture_template` replays each capture through a
+//! fresh one to measure its ground truth.
 
 pub mod loadgen;
 pub mod service;

@@ -4,7 +4,8 @@
 //! ingest path would dominate the benchmark with firmware simulation.
 //! Instead, a handful of *template* sessions are captured through the
 //! real stack — device firmware, ARQ retransmit queue, lossy radio,
-//! live host acks, all driven by the device tick — and the fleet
+//! live host acks, all driven by the device tick in one
+//! [`ScriptedSession`], the session experiment L2 sweeps — and the fleet
 //! replays them: device `d` plays template `d % templates` with a
 //! deterministic start-round offset, so arrival interleaving varies
 //! across the cohort while each session's byte stream (and therefore
@@ -18,8 +19,10 @@
 //! an unbounded ingest run must hit *exactly*.
 
 use distscroll_core::device::DistScrollDevice;
+use distscroll_core::events::TimedEvent;
 use distscroll_core::menu::Menu;
 use distscroll_core::profile::DeviceProfile;
+use distscroll_core::CoreError;
 use distscroll_host::telemetry::{Record, StreamDecoder};
 use distscroll_hw::board::Telemetry;
 use distscroll_hw::clock::SimDuration;
@@ -87,11 +90,135 @@ pub struct Template {
 /// `rounds` epochs of `round_ms` each (plus a drain tail with the hand
 /// at rest so the retransmit queue empties).
 ///
-/// The script mirrors the L2 fault-injection campaign: a slow sweep
-/// across the sensing range with periodic select/back clicks, so the
-/// stream carries every record kind the fleet path must preserve.
+/// The script is L2's fault-injection campaign itself: both drive one
+/// [`ScriptedSession`], so the stream carries every record kind the
+/// fleet path must preserve.
 pub fn capture_template(link: LinkProfile, rounds: u64, round_ms: u64, seed: u64) -> Template {
-    capture_scripted(link, rounds, round_ms, seed, true)
+    let mut profile = DeviceProfile::paper();
+    profile.arq = true;
+    let mut session = ScriptedSession::new(profile, link, seed, rounds);
+    // The ground truth the fleet path reproduces: the captured stream
+    // replayed through the same kind of decoder a shard opens.
+    let mut replay = StreamDecoder::with_arq_resync();
+    let mut events = 0u64;
+    let mut chunks: Vec<Vec<u8>> = Vec::new();
+
+    // 8 idle drain epochs: one retransmit timeout plus slack, so
+    // anything the lossy link ate gets resent before the books close.
+    for _ in 0..rounds + 8 {
+        let Ok(air) = session.epoch(round_ms, |_| {}, |_| {}) else {
+            break; // battery is sized to outlast the script
+        };
+        replay.push_bytes_with(air, |rec| {
+            if let Record::Event(_) = rec {
+                events += 1;
+            }
+        });
+        chunks.push(air.to_vec());
+    }
+
+    Template {
+        rounds: chunks,
+        records: replay.records_ok(),
+        events,
+        device_acked: session
+            .device()
+            .firmware()
+            .arq_quality()
+            .map_or(0, |q| q.acked),
+    }
+}
+
+/// One scripted device session over a [`LinkProfile`], with its live
+/// host: the single definition of the session L2 and
+/// [`capture_template`] run.
+///
+/// The device is a paper device over an eight-entry flat menu on a
+/// battery sized to outlast any script; the host decoder terminates ARQ
+/// exactly when the profile turns it on. For the first `script_epochs`
+/// epochs the hand sweeps slowly across the 4–30 cm range with periodic
+/// select and back clicks; after that it rests, so a caller can drain
+/// the retransmit queue. Each epoch ends with the host's pump: poll the
+/// air, decode, ack.
+pub struct ScriptedSession {
+    dev: DistScrollDevice,
+    decoder: StreamDecoder,
+    /// Bytes that reached the host in the latest epoch.
+    air: Vec<u8>,
+    epoch: u64,
+    script_epochs: u64,
+}
+
+impl ScriptedSession {
+    /// Boots the device under `profile` on `link` and opens the host.
+    pub fn new(profile: DeviceProfile, link: LinkProfile, seed: u64, script_epochs: u64) -> Self {
+        let decoder = if profile.arq {
+            StreamDecoder::with_arq()
+        } else {
+            StreamDecoder::new()
+        };
+        let mut dev = DistScrollDevice::new(profile, Menu::flat(8), seed);
+        dev.set_battery(Battery::with_capacity(1e12));
+        let mut radio = RadioChannel::lossy(link.drop_prob, link.ber);
+        radio.jitter = SimDuration::from_millis(link.jitter_ms);
+        dev.set_radio(radio);
+        ScriptedSession {
+            dev,
+            decoder,
+            air: Vec::new(),
+            epoch: 0,
+            script_epochs,
+        }
+    }
+
+    /// Runs one epoch of `ms`: the script's move, the device, the
+    /// script's clicks, then the pump. Drained interaction events go to
+    /// `on_event`, every record the host decodes to `on_record`; the
+    /// bytes that reached the host this epoch are returned.
+    ///
+    /// # Errors
+    ///
+    /// A device error (the battery gave out) ends the epoch early.
+    pub fn epoch(
+        &mut self,
+        ms: u64,
+        mut on_event: impl FnMut(&TimedEvent),
+        on_record: impl FnMut(Record),
+    ) -> Result<&[u8], CoreError> {
+        let e = self.epoch;
+        self.epoch += 1;
+        let scripted = e < self.script_epochs;
+        if scripted {
+            self.dev.set_distance(17.0 + 13.0 * (e as f64 * 0.37).sin());
+        }
+        self.dev.run_for_ms(ms)?;
+        if scripted && e % 7 == 3 {
+            self.dev.click_select()?;
+        }
+        if scripted && e % 11 == 6 {
+            self.dev.click_back()?;
+        }
+        self.dev.poll_events(&mut on_event);
+        self.air.clear();
+        let air = &mut self.air;
+        self.dev
+            .poll_telemetry(&mut |t: &Telemetry| air.extend_from_slice(&t.bytes));
+        self.decoder.push_bytes_with(&self.air, on_record);
+        if let Some(ack) = self.decoder.ack_payload() {
+            self.dev.host_send(&ack);
+        }
+        Ok(&self.air)
+    }
+
+    /// The device, for its firmware's books.
+    pub fn device(&self) -> &DistScrollDevice {
+        &self.dev
+    }
+
+    /// The host decoder, for its delivery books.
+    pub fn decoder(&self) -> &StreamDecoder {
+        &self.decoder
+    }
 }
 
 /// A synthetic, strictly in-order template: `rounds` chunks of
@@ -150,74 +277,6 @@ pub fn inorder_template(rounds: u64, per_round: u64) -> Template {
         records,
         events: records,
         device_acked: tx.quality().acked,
-    }
-}
-
-fn capture_scripted(
-    link: LinkProfile,
-    rounds: u64,
-    round_ms: u64,
-    seed: u64,
-    active: bool,
-) -> Template {
-    let mut profile = DeviceProfile::paper();
-    profile.arq = true;
-    let mut dev = DistScrollDevice::new(profile, Menu::flat(8), seed);
-    dev.set_battery(Battery::with_capacity(1e12));
-    let mut radio = RadioChannel::lossy(link.drop_prob, link.ber);
-    radio.jitter = SimDuration::from_millis(link.jitter_ms);
-    dev.set_radio(radio);
-
-    // The capture-side host: acks keep the device's window moving, and
-    // its delivery count is the template's ground truth.
-    let mut decoder = StreamDecoder::with_arq();
-    let mut chunks: Vec<Vec<u8>> = Vec::new();
-    let mut events = 0u64;
-
-    // 8 idle drain epochs: one retransmit timeout plus slack, so
-    // anything the lossy link ate gets resent before the books close.
-    let drain = 8;
-    for epoch in 0..rounds + drain {
-        if epoch < rounds && active {
-            let phase = (epoch as f64 * 0.37).sin();
-            dev.set_distance(17.0 + 13.0 * phase);
-        }
-        if dev.run_for_ms(round_ms).is_err() {
-            break; // battery is sized to outlast the script
-        }
-        if epoch < rounds && active {
-            if epoch % 7 == 3 && dev.click_select().is_err() {
-                break;
-            }
-            if epoch % 11 == 6 && dev.click_back().is_err() {
-                break;
-            }
-        }
-        let mut chunk = Vec::new();
-        dev.poll_telemetry(&mut |t: &Telemetry| chunk.extend_from_slice(&t.bytes));
-        decoder.push_bytes_with(&chunk, |_| {});
-        if let Some(ack) = decoder.ack_payload() {
-            dev.host_send(&ack);
-        }
-        chunks.push(chunk);
-    }
-
-    // Measure the ground truth the fleet path reproduces: replay the
-    // captured stream through the same kind of decoder a shard opens.
-    let mut replay = StreamDecoder::with_arq_resync();
-    for chunk in &chunks {
-        replay.push_bytes_with(chunk, |rec| {
-            if let Record::Event(_) = rec {
-                events += 1;
-            }
-        });
-    }
-
-    Template {
-        rounds: chunks,
-        records: replay.records_ok(),
-        events,
-        device_acked: dev.firmware().arq_quality().map_or(0, |q| q.acked),
     }
 }
 
@@ -348,6 +407,29 @@ mod tests {
         }
         let t = inorder_template(12, 3);
         assert_eq!((t.records, t.device_acked), (36, 36));
+    }
+
+    /// 64-bit FNV-1a: a fixed, dependency-free hash, so the golden value
+    /// below cannot move with the standard library's hasher.
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A golden capture, as `fleet_ingest` builds its lossy template:
+    /// the chunk boundaries and bytes, and both ground-truth counts. Any
+    /// change to the script, the device tick, the radio's draw order or
+    /// the host pump moves at least one of these.
+    #[test]
+    fn lossy_capture_matches_the_golden_record() {
+        let t = capture_template(LinkProfile::LOSSY, 48, 100, 20050607);
+        let hash = t.rounds.iter().fold(0xcbf2_9ce4_8422_2325, |h, chunk| {
+            fnv1a(fnv1a(h, &(chunk.len() as u64).to_le_bytes()), chunk)
+        });
+        assert_eq!(t.rounds.len(), 56);
+        assert_eq!(hash, 0xa638_0bb7_e243_1e8e);
+        assert_eq!((t.records, t.events, t.device_acked), (114, 46, 114));
     }
 
     #[test]

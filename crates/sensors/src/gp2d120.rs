@@ -65,7 +65,6 @@ pub struct Gp2d120 {
     drift: RandomWalk,
     held_v: f64,
     next_update_s: f64,
-    updates: u64,
     /// Part-to-part gain variation (1.0 = nominal).
     gain: f64,
     /// Part-to-part output offset, volts.
@@ -93,7 +92,6 @@ impl Gp2d120 {
             drift: RandomWalk::new(0.02, 0.0005, 0.02),
             held_v: FLOOR_V,
             next_update_s: 0.0,
-            updates: 0,
             gain: 1.0,
             offset_v: 0.0,
         }
@@ -174,18 +172,12 @@ impl Gp2d120 {
         while t >= self.next_update_s {
             self.held_v = self.measure(scene, rng);
             self.drift.step(rng);
-            self.updates += 1;
             // ±10 % period jitter, bounded, keeps update boundaries
             // incommensurate with the firmware tick as in reality.
             let jitter = 1.0 + 0.1 * (gaussian(rng).clamp(-1.5, 1.5)) / 1.5;
             self.next_update_s += SAMPLE_PERIOD_S * jitter;
         }
         self.held_v
-    }
-
-    /// How many internal measurement updates have happened.
-    pub fn update_count(&self) -> u64 {
-        self.updates
     }
 
     /// Whether a distance is inside the sensor's valid measuring range.
@@ -396,8 +388,6 @@ mod tests {
         let v2 = s.output(0.010, &scene, &mut rng);
         assert_eq!(v0, v1, "held between internal updates");
         assert_eq!(v1, v2);
-        let _ = s.output(0.2, &scene, &mut rng);
-        assert!(s.update_count() >= 4, "several updates over 200 ms");
     }
 
     #[test]

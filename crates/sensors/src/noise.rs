@@ -26,11 +26,6 @@ pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
-/// Gaussian variate with explicit mean and standard deviation.
-pub fn gaussian_with<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
-    mean + sd * gaussian(rng)
-}
-
 /// A mean-reverting bounded random walk (discretized Ornstein–Uhlenbeck).
 ///
 /// Models slow drift: each step pulls the state back towards zero with
@@ -117,17 +112,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn gaussian_with_scales_and_shifts() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let n = 20_000;
-        let xs: Vec<f64> = (0..n).map(|_| gaussian_with(&mut rng, 10.0, 3.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
-        assert!((var.sqrt() - 3.0).abs() < 0.1, "sd {}", var.sqrt());
-    }
 
     #[test]
     fn random_walk_stays_bounded() {
