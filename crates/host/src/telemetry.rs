@@ -12,9 +12,8 @@
 //! ~10 ms, so 16 bits wrap after ~11 minutes — ordinary telemetry rates
 //! see a record far more often than that).
 
-use distscroll_hw::arq::{self, ArqRx, LinkQuality};
-use distscroll_hw::link::FrameDecoder;
-use distscroll_hw::HwError;
+use distscroll_hw::arq::{self, LinkQuality, RxBooks, RxState};
+use distscroll_hw::link::{FrameBooks, FrameCarry};
 
 /// Half the 16-bit stamp space: the serial-number-arithmetic horizon.
 const STAMP_HALF: u16 = 0x8000;
@@ -210,6 +209,7 @@ impl std::error::Error for ProtocolError {}
 /// [`ProtocolError`] on malformed payloads; a corrupted-but-CRC-valid
 /// payload cannot occur over the real link, but the host must still
 /// never panic on one.
+#[inline]
 pub fn parse_record(payload: &[u8]) -> Result<Record, ProtocolError> {
     let (&kind, rest) = payload.split_first().ok_or(ProtocolError::Empty)?;
     match kind {
@@ -249,26 +249,112 @@ pub fn parse_record(payload: &[u8]) -> Result<Record, ProtocolError> {
     }
 }
 
+/// Every counter one radio stream's decode moves, booked in one place:
+/// the frame scan's, the ARQ receiver's and the record parser's.
+///
+/// [`DecodeState::push_bytes_with`] threads one `&mut DecodeBooks` down
+/// the whole path, so a host that decodes many streams can keep a single
+/// set of books for all of them and hold each stream's state alone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DecodeBooks {
+    /// Link-layer frames and bytes.
+    pub frames: FrameBooks,
+    /// What the ARQ receivers did with the data frames (all zero without
+    /// ARQ).
+    pub rx: RxBooks,
+    /// Records parsed successfully.
+    pub records_ok: u64,
+    /// Payloads that failed record parsing.
+    pub records_bad: u64,
+}
+
+/// The decode state of one radio stream, without its counters: the
+/// frame decoder's carry and, when the stream carries the ARQ
+/// transport, the receiver with its parked ring.
+///
+/// The receiver parks records already parsed (`Option<Record>`, `None`
+/// for a payload that failed to parse and is counted bad when its turn
+/// comes), so a duplicate or beyond-window frame is never parsed. The
+/// state owns no heap memory until a frame splits across two pushes and
+/// the frame decoder's carry takes the unfinished attempt.
+#[derive(Debug, Clone, Default)]
+pub struct DecodeState {
+    frames: FrameCarry,
+    arq: Option<RxState<Option<Record>>>,
+}
+
+impl DecodeState {
+    /// An ARQ-terminating state that attaches to a transmitter already
+    /// mid-stream: the receiver adopts the first incoming sequence number
+    /// instead of expecting zero (see [`RxState::new_resync`]).
+    pub fn with_arq_resync() -> Self {
+        DecodeState {
+            arq: Some(RxState::new_resync()),
+            ..DecodeState::default()
+        }
+    }
+
+    /// Pushes received bytes, booking every counter the decode moves in
+    /// `books` and visiting each completed record in order: frame scan,
+    /// then ARQ receive, then [`parse_record`]. This is the one decode
+    /// path; it allocates nothing ([`Record`] is `Copy`; frame payloads
+    /// are borrowed from the pushed bytes or the frame decoder's carry).
+    /// Malformed or CRC-failed frames are counted and skipped.
+    pub fn push_bytes_with<F: FnMut(Record)>(
+        &mut self,
+        bytes: &[u8],
+        books: &mut DecodeBooks,
+        mut sink: F,
+    ) {
+        let arq = &mut self.arq;
+        let DecodeBooks {
+            frames,
+            rx,
+            records_ok,
+            records_bad,
+        } = books;
+        self.frames.push_with(bytes, frames, |frame| {
+            // A failed frame is already booked by the scan.
+            let Ok(payload) = frame else {
+                return;
+            };
+            let mut book = |rec: Option<Record>| match rec {
+                Some(rec) => {
+                    *records_ok += 1;
+                    sink(rec);
+                }
+                None => *records_bad += 1,
+            };
+            match arq.as_mut() {
+                Some(state) => match arq::decode_data(payload) {
+                    Some((seq, inner)) => {
+                        state.on_data(seq, rx, || parse_record(inner).ok(), book);
+                    }
+                    None => book(None),
+                },
+                None => book(parse_record(payload).ok()),
+            }
+        });
+    }
+}
+
 /// Stacks record parsing on the link-layer frame decoder: feed raw radio
 /// bytes, collect typed records.
 ///
 /// Built with [`StreamDecoder::with_arq`], the decoder additionally
 /// terminates the reliable transport: sequence-numbered `'D'` payloads
-/// are deduplicated and reordered by an [`ArqRx`] before their inner
+/// are deduplicated and reordered by an ARQ receiver before their inner
 /// records are parsed, and [`StreamDecoder::ack_payload`] yields the
 /// acknowledgement to send back to the device.
 ///
-/// The receiver parks records already parsed (`Option<Record>`, `None`
-/// for a payload that failed to parse and is counted bad when its turn
-/// comes), so a duplicate or beyond-window frame is never parsed. A
-/// decoder owns no heap memory until a frame splits across two pushes
-/// and the frame decoder's carry takes the unfinished attempt.
+/// A decoder is one stream's [`DecodeState`] with its own
+/// [`DecodeBooks`], and pushes through the same
+/// [`DecodeState::push_bytes_with`] a fleet shard runs with its shared
+/// books.
 #[derive(Debug, Clone, Default)]
 pub struct StreamDecoder {
-    frames: FrameDecoder,
-    arq: Option<ArqRx<Option<Record>>>,
-    records_ok: u64,
-    records_bad: u64,
+    state: DecodeState,
+    books: DecodeBooks,
 }
 
 impl StreamDecoder {
@@ -281,21 +367,24 @@ impl StreamDecoder {
     /// through dedup + reorder before record parsing.
     pub fn with_arq() -> Self {
         StreamDecoder {
-            arq: Some(ArqRx::new()),
-            ..StreamDecoder::default()
+            state: DecodeState {
+                arq: Some(RxState::new()),
+                ..DecodeState::default()
+            },
+            books: DecodeBooks::default(),
         }
     }
 
     /// An ARQ-terminating decoder that attaches to a transmitter already
     /// mid-stream: the receiver adopts the first incoming sequence number
-    /// instead of expecting zero (see [`ArqRx::new_resync`]).
+    /// instead of expecting zero (see [`RxState::new_resync`]).
     ///
     /// This is the resume path after host-side session eviction — the
     /// device kept transmitting, only the host forgot where it was.
     pub fn with_arq_resync() -> Self {
         StreamDecoder {
-            arq: Some(ArqRx::new_resync()),
-            ..StreamDecoder::default()
+            state: DecodeState::with_arq_resync(),
+            books: DecodeBooks::default(),
         }
     }
 
@@ -303,23 +392,14 @@ impl StreamDecoder {
     /// mid-stream sequence number. `None` without ARQ; `Some(false)` for
     /// a stream that genuinely started at sequence zero.
     pub fn arq_resynced(&self) -> Option<bool> {
-        self.arq.as_ref().map(ArqRx::resynced)
+        self.state.arq.as_ref().map(RxState::resynced)
     }
 
     /// Pushes received bytes, visiting each completed record in order —
-    /// the zero-allocation decode ([`Record`] is `Copy`; frame payloads
-    /// are borrowed from the pushed bytes or the frame decoder's carry).
-    /// Malformed or CRC-failed frames are counted and skipped.
-    pub fn push_bytes_with<F: FnMut(Record)>(&mut self, bytes: &[u8], mut sink: F) {
-        self.frames.push_with(bytes, |frame| {
-            consume_frame(
-                &mut self.arq,
-                &mut self.records_ok,
-                &mut self.records_bad,
-                frame,
-                &mut sink,
-            );
-        });
+    /// the zero-allocation decode of [`DecodeState::push_bytes_with`],
+    /// booked in this decoder's own books.
+    pub fn push_bytes_with<F: FnMut(Record)>(&mut self, bytes: &[u8], sink: F) {
+        self.state.push_bytes_with(bytes, &mut self.books, sink);
     }
 
     /// Pushes received bytes; returns the records completed by them.
@@ -334,82 +414,50 @@ impl StreamDecoder {
     /// The acknowledgement payload to frame and send back to the device,
     /// when the decoder terminates the ARQ transport.
     pub fn ack_payload(&self) -> Option<[u8; arq::ACK_LEN]> {
-        self.arq.as_ref().map(ArqRx::ack_payload)
+        self.state.arq.as_ref().map(RxState::ack_payload)
     }
 
     /// Receive-side link-quality counters, when the decoder terminates
     /// the ARQ transport.
     pub fn arq_quality(&self) -> Option<LinkQuality> {
-        self.arq.as_ref().map(ArqRx::quality)
+        self.state.arq.as_ref().map(|_| self.books.rx.quality())
     }
 
     /// Records parsed successfully.
     pub fn records_ok(&self) -> u64 {
-        self.records_ok
+        self.books.records_ok
     }
 
     /// Payloads that failed record parsing.
     pub fn records_bad(&self) -> u64 {
-        self.records_bad
+        self.books.records_bad
     }
 
-    /// Frames dropped at the link layer for CRC failures (the frame
-    /// decoder's [`FrameDecoder::frames_bad`]: a failed CRC is the only
-    /// error it reports).
+    /// Frames dropped at the link layer for CRC failures (a failed CRC
+    /// is the only error the frame decoder reports).
     pub fn crc_failures(&self) -> u64 {
-        self.frames.frames_bad()
+        self.books.frames.frames_bad
     }
 
     /// Link-layer frames decoded with a valid CRC.
     pub fn link_frames_ok(&self) -> u64 {
-        self.frames.frames_ok()
+        self.books.frames.frames_ok
     }
 
     /// Link-layer bytes skipped while hunting for sync.
     pub fn link_bytes_skipped(&self) -> u64 {
-        self.frames.bytes_skipped()
+        self.books.frames.bytes_skipped
     }
 
     /// Link-layer byte-conservation terms, `(skipped, accepted, pending)`
-    /// — see [`FrameDecoder::pending_bytes`]. The fuzz harness checks
-    /// that they sum to the bytes pushed.
+    /// — see [`FrameDecoder::pending_bytes`](distscroll_hw::link::FrameDecoder::pending_bytes).
+    /// The fuzz harness checks that they sum to the bytes pushed.
     pub fn link_byte_accounting(&self) -> (u64, u64, u64) {
         (
-            self.frames.bytes_skipped(),
-            self.frames.bytes_accepted(),
-            self.frames.pending_bytes(),
+            self.books.frames.bytes_skipped,
+            self.books.frames.bytes_accepted,
+            self.state.frames.pending_bytes(),
         )
-    }
-}
-
-/// Routes one completed link frame into the ARQ/record layers.
-///
-/// Free function over disjoint [`StreamDecoder`] fields because the
-/// frame decoder stays mutably borrowed while it lends the payload.
-/// A failed frame is already counted in the frame decoder's books.
-fn consume_frame<F: FnMut(Record)>(
-    arq: &mut Option<ArqRx<Option<Record>>>,
-    records_ok: &mut u64,
-    records_bad: &mut u64,
-    frame: Result<&[u8], HwError>,
-    sink: &mut F,
-) {
-    let Ok(payload) = frame else {
-        return;
-    };
-    let mut book = |rec: Option<Record>| match rec {
-        Some(rec) => {
-            *records_ok += 1;
-            sink(rec);
-        }
-        None => *records_bad += 1,
-    };
-    match arq.as_mut() {
-        Some(rx) => match arq::decode_data(payload) {
-            Some((seq, inner)) => rx.on_data(seq, || parse_record(inner).ok(), book),
-            None => book(None),
-        },
-        None => book(parse_record(payload).ok()),
     }
 }
 

@@ -174,6 +174,7 @@ impl LinkQuality {
 ///   would deliver a fabricated empty record to the application;
 /// * an inner record longer than [`MAX_DATA_INNER`] is rejected: it
 ///   cannot have come out of a wire frame.
+#[inline]
 pub fn decode_data(payload: &[u8]) -> Option<(Seq16, &[u8])> {
     match payload {
         [DATA_TAG, hi, lo, inner @ ..] if !inner.is_empty() && inner.len() <= MAX_DATA_INNER => {
@@ -440,93 +441,34 @@ impl ArqTx {
 /// that builds the value only for a frame that is delivered or parked,
 /// so duplicates and beyond-window frames are never parsed or copied.
 ///
-/// Out-of-order records wait in a fixed ring of [`WINDOW`] slots inside
-/// the receiver, indexed by `seq % WINDOW`. Parked sequence numbers
-/// always lie in `expected + 1 ..= expected + WINDOW`, eight consecutive
-/// numbers, so no two share a slot (and 2^16 is a multiple of
-/// `WINDOW`, so the index survives the wrap): an occupied slot *is* the
-/// duplicate check, and release walks the ring from `expected`. A
-/// receiver therefore owns no heap memory of its own whatever arrives.
-/// Parking the host's 8-byte `Option<Record>`, a receiver is 96 bytes;
-/// the `Vec`-parked receiver it replaced was 120 bytes plus a heap
-/// buffer per parked record, the list of them and a list of spares.
+/// An `ArqRx` is an [`RxState`] (the sequence state and parked ring)
+/// and the [`RxBooks`] it books into. A caller that keeps many
+/// receivers' counters in one place holds the states alone and passes
+/// its own books to [`RxState::on_data`], which is the one receive path.
 #[derive(Debug, Clone)]
 pub struct ArqRx<T> {
-    /// Next sequence number to release.
-    expected: Seq16,
-    /// Slot `seq % WINDOW` holds the record parked under `seq`, for the
-    /// `seq`s within [`WINDOW`] past `expected`.
-    parked: [Option<T>; WINDOW as usize],
+    state: RxState<T>,
+    books: RxBooks,
+}
+
+/// Receive-side counters: what [`RxState::on_data`] did with every data
+/// frame it was handed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RxBooks {
     /// Records released to the application in order.
-    delivered: u64,
+    pub delivered: u64,
     /// Data frames discarded as already-delivered copies.
-    duplicates: u64,
+    pub duplicates: u64,
     /// Data frames that arrived ahead of a gap.
-    out_of_order: u64,
-    /// When true, the first data frame's sequence number is adopted as
-    /// `expected` instead of being judged against it — a receiver that
-    /// attaches to a transmitter already mid-stream (e.g. after the
-    /// host evicted and later resurrected the session).
-    sync_on_first: bool,
-    /// Whether the first frame has been seen (only meaningful when
-    /// `sync_on_first` is set).
-    synced: bool,
-    /// Whether adoption actually moved `expected` off [`Seq16::ZERO`].
-    resynced: bool,
+    pub out_of_order: u64,
+    /// Receivers that adopted a mid-stream sequence number (see
+    /// [`RxState::new_resync`]): at most one per receiver.
+    pub resyncs: u64,
 }
 
-impl<T> Default for ArqRx<T> {
-    fn default() -> Self {
-        ArqRx::new()
-    }
-}
-
-/// The ring slot a sequence number parks in.
-fn ring_slot(seq: Seq16) -> usize {
-    usize::from(seq.0 % WINDOW)
-}
-
-impl<T> ArqRx<T> {
-    /// A receiver expecting a fresh transmitter's first frame.
-    pub fn new() -> Self {
-        ArqRx {
-            expected: Seq16::ZERO,
-            parked: [const { None }; WINDOW as usize],
-            delivered: 0,
-            duplicates: 0,
-            out_of_order: 0,
-            sync_on_first: false,
-            synced: false,
-            resynced: false,
-        }
-    }
-
-    /// A receiver that adopts the first incoming frame's sequence number
-    /// as its own `expected`, then behaves exactly like [`ArqRx::new`].
-    ///
-    /// This is the resume path for a session whose receiver state was
-    /// discarded mid-stream: the transmitter is somewhere past zero, and
-    /// a zero-expecting receiver would count its entire backlog window as
-    /// serially-old duplicates. Adopting the first live sequence re-syncs
-    /// without replaying or double-delivering anything — frames the old
-    /// receiver already delivered were acked and will not be resent.
-    pub fn new_resync() -> Self {
-        ArqRx {
-            sync_on_first: true,
-            ..ArqRx::new()
-        }
-    }
-
-    /// Whether a [`ArqRx::new_resync`] receiver adopted a mid-stream
-    /// sequence number (false for a fresh stream starting at zero, and
-    /// always false for [`ArqRx::new`] receivers).
-    pub fn resynced(&self) -> bool {
-        self.resynced
-    }
-
-    /// Counters accumulated so far: the receive-side fields
-    /// (`delivered`, `duplicates`, `out_of_order`); the transmit-side
-    /// ones are zero.
+impl RxBooks {
+    /// The receive-side [`LinkQuality`] fields (`delivered`,
+    /// `duplicates`, `out_of_order`); the transmit-side ones are zero.
     pub fn quality(&self) -> LinkQuality {
         LinkQuality {
             delivered: self.delivered,
@@ -535,9 +477,95 @@ impl<T> ArqRx<T> {
             ..LinkQuality::default()
         }
     }
+}
 
-    /// Accepts one data frame's sequence number; `make` builds the value
-    /// its inner record stands for.
+/// How a receiver judges its first data frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SyncState {
+    /// Waiting to adopt the first frame's sequence number.
+    AwaitFirst,
+    /// Judging every frame against `expected`.
+    Locked,
+    /// Locked, after adoption moved `expected` off [`Seq16::ZERO`].
+    Resynced,
+}
+
+/// The state of an ARQ receiver, without its counters: the next
+/// expected sequence number, the parked ring and how the first frame is
+/// judged.
+///
+/// Out-of-order records wait in a fixed ring of [`WINDOW`] slots inside
+/// the state, indexed by `seq % WINDOW`. Parked sequence numbers always
+/// lie in `expected + 1 ..= expected + WINDOW`, eight consecutive
+/// numbers, so no two share a slot (and 2^16 is a multiple of
+/// `WINDOW`, so the index survives the wrap): an occupied slot *is* the
+/// duplicate check, and release walks the ring from `expected`. A
+/// receiver therefore owns no heap memory of its own whatever arrives.
+/// Parking the host's 8-byte `Option<Record>`, the state is 68 bytes.
+#[derive(Debug, Clone)]
+pub struct RxState<T> {
+    /// Next sequence number to release.
+    expected: Seq16,
+    /// How the next frame is judged; see [`SyncState`].
+    sync: SyncState,
+    /// Slot `seq % WINDOW` holds the record parked under `seq`, for the
+    /// `seq`s within [`WINDOW`] past `expected`.
+    parked: [Option<T>; WINDOW as usize],
+}
+
+impl<T> Default for ArqRx<T> {
+    fn default() -> Self {
+        ArqRx::new()
+    }
+}
+
+impl<T> Default for RxState<T> {
+    fn default() -> Self {
+        RxState::new()
+    }
+}
+
+/// The ring slot a sequence number parks in.
+fn ring_slot(seq: Seq16) -> usize {
+    usize::from(seq.0 % WINDOW)
+}
+
+impl<T> RxState<T> {
+    /// A receiver expecting a fresh transmitter's first frame.
+    pub fn new() -> Self {
+        RxState {
+            expected: Seq16::ZERO,
+            sync: SyncState::Locked,
+            parked: [const { None }; WINDOW as usize],
+        }
+    }
+
+    /// A receiver that adopts the first incoming frame's sequence number
+    /// as its own `expected`, then behaves exactly like [`RxState::new`].
+    ///
+    /// This is the resume path for a session whose receiver state was
+    /// discarded mid-stream: the transmitter is somewhere past zero, and
+    /// a zero-expecting receiver would count its entire backlog window as
+    /// serially-old duplicates. Adopting the first live sequence re-syncs
+    /// without replaying or double-delivering anything — frames the old
+    /// receiver already delivered were acked and will not be resent.
+    pub fn new_resync() -> Self {
+        RxState {
+            sync: SyncState::AwaitFirst,
+            ..RxState::new()
+        }
+    }
+
+    /// Whether a [`RxState::new_resync`] receiver adopted a mid-stream
+    /// sequence number (false for a fresh stream starting at zero, and
+    /// always false for [`RxState::new`] receivers).
+    pub fn resynced(&self) -> bool {
+        self.sync == SyncState::Resynced
+    }
+
+    /// Accepts one data frame's sequence number, booking what happened
+    /// to it in `books`; `make` builds the value its inner record stands
+    /// for.
     ///
     /// In-order records (and any parked records they unblock) are handed
     /// to `deliver` immediately; future records within the reorder
@@ -545,38 +573,46 @@ impl<T> ArqRx<T> {
     /// beyond the window are ignored — never acked, the transmitter
     /// resends them once the window has moved. `make` runs only for a
     /// record that is delivered or parked.
-    pub fn on_data(&mut self, seq: Seq16, make: impl FnOnce() -> T, mut deliver: impl FnMut(T)) {
-        if self.sync_on_first && !self.synced {
-            self.synced = true;
-            if seq != self.expected {
+    pub fn on_data(
+        &mut self,
+        seq: Seq16,
+        books: &mut RxBooks,
+        make: impl FnOnce() -> T,
+        mut deliver: impl FnMut(T),
+    ) {
+        if self.sync == SyncState::AwaitFirst {
+            self.sync = if seq == self.expected {
+                SyncState::Locked
+            } else {
+                books.resyncs += 1;
                 self.expected = seq;
-                self.resynced = true;
-            }
+                SyncState::Resynced
+            };
         }
         let ahead = seq.distance_from(self.expected);
         if ahead >= SERIAL_HALF {
             // Serially older than `expected`: already delivered.
-            self.duplicates += 1;
+            books.duplicates += 1;
             return;
         }
         if ahead == 0 {
             deliver(make());
-            self.delivered += 1;
+            books.delivered += 1;
             self.expected = self.expected.next();
             // Release the records the filled gap unblocks.
             while let Some(rec) = self.parked[ring_slot(self.expected)].take() {
                 deliver(rec);
-                self.delivered += 1;
+                books.delivered += 1;
                 self.expected = self.expected.next();
             }
             return;
         }
-        self.out_of_order += 1;
+        books.out_of_order += 1;
         if ahead > WINDOW {
             return;
         }
         match &mut self.parked[ring_slot(seq)] {
-            Some(_) => self.duplicates += 1,
+            Some(_) => books.duplicates += 1,
             slot => *slot = Some(make()),
         }
     }
@@ -605,6 +641,51 @@ impl<T> ArqRx<T> {
             (cum.raw() & 0xff) as u8,
             bitmap,
         ]
+    }
+}
+
+impl<T> ArqRx<T> {
+    /// A receiver expecting a fresh transmitter's first frame.
+    pub fn new() -> Self {
+        ArqRx {
+            state: RxState::new(),
+            books: RxBooks::default(),
+        }
+    }
+
+    /// A receiver that adopts the first incoming frame's sequence number
+    /// (see [`RxState::new_resync`]).
+    pub fn new_resync() -> Self {
+        ArqRx {
+            state: RxState::new_resync(),
+            books: RxBooks::default(),
+        }
+    }
+
+    /// Whether a [`ArqRx::new_resync`] receiver adopted a mid-stream
+    /// sequence number (false for a fresh stream starting at zero, and
+    /// always false for [`ArqRx::new`] receivers).
+    pub fn resynced(&self) -> bool {
+        self.state.resynced()
+    }
+
+    /// Counters accumulated so far: the receive-side fields
+    /// (`delivered`, `duplicates`, `out_of_order`); the transmit-side
+    /// ones are zero.
+    pub fn quality(&self) -> LinkQuality {
+        self.books.quality()
+    }
+
+    /// Accepts one data frame's sequence number; `make` builds the value
+    /// its inner record stands for (see [`RxState::on_data`]).
+    pub fn on_data(&mut self, seq: Seq16, make: impl FnOnce() -> T, deliver: impl FnMut(T)) {
+        self.state.on_data(seq, &mut self.books, make, deliver);
+    }
+
+    /// The acknowledgement payload describing everything received so
+    /// far (see [`RxState::ack_payload`]).
+    pub fn ack_payload(&self) -> [u8; ACK_LEN] {
+        self.state.ack_payload()
     }
 }
 

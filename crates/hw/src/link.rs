@@ -35,41 +35,74 @@ const CRC16_INIT: u16 = 0xffff;
 /// CRC-16-CCITT (polynomial 0x1021, init 0xFFFF, no reflection, no
 /// final XOR: the CRC-16/CCITT-FALSE parameters), table-driven.
 ///
-/// Slicing-by-4 (Kounavis & Berry, ISCC 2005): four bytes per step
-/// through four independent table lookups instead of a chain of eight
-/// dependent shifts per byte, then a byte-wise tail for the last 0–3.
+/// Slicing-by-16 (Kounavis & Berry, ISCC 2005): sixteen bytes per step
+/// through sixteen independent table lookups, and a tail of 2–15 bytes
+/// in one more step of the same kind. A frame body (length byte and
+/// payload) of up to 16 bytes therefore costs a single step.
+#[inline]
 pub fn crc16_ccitt(bytes: &[u8]) -> u16 {
-    let [t0, t1, t2, t3] = &CRC16_TABLES;
+    let mut blocks = bytes.chunks_exact(CRC16_BLOCK);
     let mut crc = CRC16_INIT;
-    let mut words = bytes.chunks_exact(4);
-    for w in &mut words {
-        let [hi, lo] = crc.to_be_bytes();
-        crc = t3[usize::from(w[0] ^ hi)]
-            ^ t2[usize::from(w[1] ^ lo)]
-            ^ t1[usize::from(w[2])]
-            ^ t0[usize::from(w[3])];
+    for block in &mut blocks {
+        crc = crc16_fold::<CRC16_BLOCK>(crc, block);
     }
-    for &b in words.remainder() {
-        crc = (crc << 8) ^ t0[usize::from((crc >> 8) as u8 ^ b)];
+    // One arm per tail length, so every fold is unrolled with its
+    // tables fixed.
+    let tail = blocks.remainder();
+    match tail.len() {
+        0 => crc,
+        1 => (crc << 8) ^ CRC16_TABLES[0][usize::from((crc >> 8) as u8 ^ tail[0])],
+        2 => crc16_fold::<2>(crc, tail),
+        3 => crc16_fold::<3>(crc, tail),
+        4 => crc16_fold::<4>(crc, tail),
+        5 => crc16_fold::<5>(crc, tail),
+        6 => crc16_fold::<6>(crc, tail),
+        7 => crc16_fold::<7>(crc, tail),
+        8 => crc16_fold::<8>(crc, tail),
+        9 => crc16_fold::<9>(crc, tail),
+        10 => crc16_fold::<10>(crc, tail),
+        11 => crc16_fold::<11>(crc, tail),
+        12 => crc16_fold::<12>(crc, tail),
+        13 => crc16_fold::<13>(crc, tail),
+        14 => crc16_fold::<14>(crc, tail),
+        _ => crc16_fold::<15>(crc, tail),
     }
-    crc
+}
+
+/// Bytes one step of [`crc16_ccitt`] folds: one table per position.
+const CRC16_BLOCK: usize = 16;
+
+/// Folds the `N` (2 to [`CRC16_BLOCK`]) bytes of `bytes` into the
+/// register in one step.
+///
+/// With at least two bytes the register shifts out completely, so it
+/// acts as an XOR into the first two bytes; by linearity the result is
+/// then the sum of each byte's table entry for its distance from the
+/// end, and every lookup is independent of the others.
+#[inline(always)]
+fn crc16_fold<const N: usize>(crc: u16, bytes: &[u8]) -> u16 {
+    let [hi, lo] = crc.to_be_bytes();
+    let mut acc = CRC16_TABLES[N - 1][usize::from(bytes[0] ^ hi)]
+        ^ CRC16_TABLES[N - 2][usize::from(bytes[1] ^ lo)];
+    for k in 2..N {
+        acc ^= CRC16_TABLES[N - 1 - k][usize::from(bytes[k])];
+    }
+    acc
 }
 
 /// `CRC16_TABLES[k][b]` is the register, started from zero, after byte
-/// `b` and then `k` zero bytes. By linearity, one step of
-/// [`crc16_ccitt`] XORs the register into the word's first two bytes
-/// and sums each byte's table entry for its distance from the end.
-static CRC16_TABLES: [[u16; 256]; 4] = crc16_tables();
+/// `b` and then `k` zero bytes.
+static CRC16_TABLES: [[u16; 256]; CRC16_BLOCK] = crc16_tables();
 
-const fn crc16_tables() -> [[u16; 256]; 4] {
-    let mut t = [[0u16; 256]; 4];
+const fn crc16_tables() -> [[u16; 256]; CRC16_BLOCK] {
+    let mut t = [[0u16; 256]; CRC16_BLOCK];
     let mut b = 0;
     while b < 256 {
         t[0][b] = crc16_ccitt_step(0, b as u8);
         b += 1;
     }
     let mut k = 1;
-    while k < 4 {
+    while k < CRC16_BLOCK {
         let mut b = 0;
         while b < 256 {
             let prev = t[k - 1][b];
@@ -150,20 +183,83 @@ const MAX_FRAME: usize = MAX_PAYLOAD + 5;
 /// swallow a legitimate frame that started *inside* the attempt, so the
 /// scan resumes two bytes in. Only an attempt split across two pushes is
 /// copied, into a carry of at most `MAX_FRAME - 1` bytes.
+///
+/// The decoder is a [`FrameCarry`] (its state) and the [`FrameBooks`]
+/// it books into. A caller that keeps many streams' books in one place
+/// holds the carries alone and passes its own books to
+/// [`FrameCarry::push_with`], the same scan this type runs.
 #[derive(Debug, Clone, Default)]
 pub struct FrameDecoder {
-    /// The undecided tail of the stream so far: a lone `SYNC1`, or a
-    /// sync pair and the part of its frame that has arrived.
-    carry: Vec<u8>,
-    counts: FrameCounts,
+    carry: FrameCarry,
+    books: FrameBooks,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct FrameCounts {
-    frames_ok: u64,
-    frames_bad: u64,
-    bytes_skipped: u64,
-    bytes_accepted: u64,
+/// What frame decoding decided, counted: every frame and every pushed
+/// byte lands in exactly one of these (or is still pending in a carry).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrameBooks {
+    /// Frames decoded with a valid CRC.
+    pub frames_ok: u64,
+    /// Frames rejected for a failed CRC.
+    pub frames_bad: u64,
+    /// Bytes skipped while hunting for sync, including the sync pair of
+    /// every frame attempt that failed its CRC.
+    pub bytes_skipped: u64,
+    /// Bytes consumed by CRC-valid frames (sync pair, length byte,
+    /// payload and both CRC bytes: `5 + len` per frame).
+    pub bytes_accepted: u64,
+}
+
+/// The state of a frame decoder, without its counters: the undecided
+/// tail of the stream so far, a lone `SYNC1` or a sync pair and the
+/// part of its frame that has arrived. It owns no heap memory until a
+/// frame splits across two pushes.
+#[derive(Debug, Clone, Default)]
+pub struct FrameCarry {
+    held: Vec<u8>,
+}
+
+impl FrameCarry {
+    /// Bytes held back: the frame attempt still waiting for its tail.
+    pub fn pending_bytes(&self) -> u64 {
+        self.held.len() as u64
+    }
+
+    /// Pushes received bytes, booking every decision into `books` and
+    /// visiting every frame they complete in stream order: `Ok(payload)`
+    /// for a valid CRC, `Err(_)` for a failed one.
+    ///
+    /// Payloads are lent from `bytes` (or, for a frame split across
+    /// pushes, from the carry), so decoding a warm stream performs no
+    /// heap allocation. How the stream is split into pushes changes
+    /// nothing: the frames and counters are those of one push of the
+    /// whole stream.
+    pub fn push_with<F: FnMut(Result<&[u8], HwError>)>(
+        &mut self,
+        mut bytes: &[u8],
+        books: &mut FrameBooks,
+        mut sink: F,
+    ) {
+        if !self.held.is_empty() {
+            // Every attempt that starts inside the carry is decided by at
+            // most `MAX_FRAME - 1` more bytes, so top it up by that much
+            // and resume the input where the carry's decisions end.
+            let held = self.held.len();
+            self.held
+                .extend_from_slice(&bytes[..bytes.len().min(MAX_FRAME - 1)]);
+            let stop = scan(&self.held, books, &mut sink);
+            if stop < held {
+                // Still undecided, so the input was short and all of it
+                // is in the carry already.
+                self.held.drain(..stop);
+                return;
+            }
+            self.held.clear();
+            bytes = &bytes[stop - held..];
+        }
+        let stop = scan(bytes, books, &mut sink);
+        self.held.extend_from_slice(&bytes[stop..]);
+    }
 }
 
 impl FrameDecoder {
@@ -174,24 +270,24 @@ impl FrameDecoder {
 
     /// Frames decoded with a valid CRC since creation.
     pub fn frames_ok(&self) -> u64 {
-        self.counts.frames_ok
+        self.books.frames_ok
     }
 
     /// Frames rejected (bad CRC) since creation.
     pub fn frames_bad(&self) -> u64 {
-        self.counts.frames_bad
+        self.books.frames_bad
     }
 
     /// Bytes skipped while hunting for sync (including the sync pair of
     /// every frame attempt that failed its CRC).
     pub fn bytes_skipped(&self) -> u64 {
-        self.counts.bytes_skipped
+        self.books.bytes_skipped
     }
 
     /// Bytes consumed by CRC-valid frames (sync pair, length byte,
     /// payload and both CRC bytes — `5 + len` per frame).
     pub fn bytes_accepted(&self) -> u64 {
-        self.counts.bytes_accepted
+        self.books.bytes_accepted
     }
 
     /// Bytes held inside the decoder: the frame attempt still waiting
@@ -202,38 +298,13 @@ impl FrameDecoder {
     /// The fuzz harness asserts this conservation law against a reference
     /// decoder after every input.
     pub fn pending_bytes(&self) -> u64 {
-        self.carry.len() as u64
+        self.carry.pending_bytes()
     }
 
     /// Pushes received bytes, visiting every frame they complete in
-    /// stream order: `Ok(payload)` for a valid CRC, `Err(_)` for a
-    /// failed one.
-    ///
-    /// Payloads are lent from `bytes` (or, for a frame split across
-    /// pushes, from the carry), so decoding a warm stream performs no
-    /// heap allocation. How the stream is split into pushes changes
-    /// nothing: the frames and counters are those of one push of the
-    /// whole stream.
-    pub fn push_with<F: FnMut(Result<&[u8], HwError>)>(&mut self, mut bytes: &[u8], mut sink: F) {
-        if !self.carry.is_empty() {
-            // Every attempt that starts inside the carry is decided by at
-            // most `MAX_FRAME - 1` more bytes, so top it up by that much
-            // and resume the input where the carry's decisions end.
-            let held = self.carry.len();
-            self.carry
-                .extend_from_slice(&bytes[..bytes.len().min(MAX_FRAME - 1)]);
-            let stop = scan(&self.carry, &mut self.counts, &mut sink);
-            if stop < held {
-                // Still undecided, so the input was short and all of it
-                // is in the carry already.
-                self.carry.drain(..stop);
-                return;
-            }
-            self.carry.clear();
-            bytes = &bytes[stop - held..];
-        }
-        let stop = scan(bytes, &mut self.counts, &mut sink);
-        self.carry.extend_from_slice(&bytes[stop..]);
+    /// stream order (see [`FrameCarry::push_with`]).
+    pub fn push_with<F: FnMut(Result<&[u8], HwError>)>(&mut self, bytes: &[u8], sink: F) {
+        self.carry.push_with(bytes, &mut self.books, sink);
     }
 
     /// Pushes a whole received burst, collecting completed frames and
@@ -251,12 +322,12 @@ impl FrameDecoder {
 /// `SYNC1`, or the start of a frame whose tail is not in `buf`.
 fn scan<F: FnMut(Result<&[u8], HwError>)>(
     buf: &[u8],
-    counts: &mut FrameCounts,
+    books: &mut FrameBooks,
     sink: &mut F,
 ) -> usize {
     let mut i = 0;
     while let Some(off) = buf[i..].iter().position(|&b| b == SYNC1) {
-        counts.bytes_skipped += off as u64;
+        books.bytes_skipped += off as u64;
         i += off;
         match buf.get(i + 1) {
             None => return i,
@@ -264,7 +335,7 @@ fn scan<F: FnMut(Result<&[u8], HwError>)>(
             Some(_) => {
                 // Not a sync pair: the SYNC1 is spent, and the next byte
                 // may start a pair itself.
-                counts.bytes_skipped += 1;
+                books.bytes_skipped += 1;
                 i += 1;
                 continue;
             }
@@ -280,20 +351,20 @@ fn scan<F: FnMut(Result<&[u8], HwError>)>(
         let expected = u16::from(wire[0]) << 8 | u16::from(wire[1]);
         let actual = crc16_ccitt(body);
         if expected == actual {
-            counts.frames_ok += 1;
-            counts.bytes_accepted += frame.len() as u64;
+            books.frames_ok += 1;
+            books.bytes_accepted += frame.len() as u64;
             i += frame.len();
             sink(Ok(&body[1..]));
         } else {
             // Only the sync pair is consumed for good: the rest of the
             // attempt may hold an embedded frame start.
-            counts.frames_bad += 1;
-            counts.bytes_skipped += 2;
+            books.frames_bad += 1;
+            books.bytes_skipped += 2;
             i += 2;
             sink(Err(HwError::LinkCrc { expected, actual }));
         }
     }
-    counts.bytes_skipped += (buf.len() - i) as u64;
+    books.bytes_skipped += (buf.len() - i) as u64;
     buf.len()
 }
 
@@ -664,14 +735,30 @@ mod tests {
         #[test]
         fn sliced_crc_matches_the_bitwise_fold(
             bytes in proptest::collection::vec(proptest::any::<u8>(), 260..=260),
+            start in 0usize..=16,
         ) {
-            // Every prefix length, so every tail length 0–3 after the
-            // four-byte steps is covered.
+            let bitwise = |data: &[u8]| {
+                data.iter()
+                    .fold(CRC16_INIT, |crc, &b| crc16_ccitt_step(crc, b))
+            };
+            // Every tail length 0–15 after 0, 1 and 2 whole 16-byte
+            // steps, from an arbitrary start in the buffer.
+            for blocks in 0..=2 {
+                for tail in 0..CRC16_BLOCK {
+                    let data = &bytes[start..start + blocks * CRC16_BLOCK + tail];
+                    proptest::prop_assert_eq!(
+                        crc16_ccitt(data),
+                        bitwise(data),
+                        "{} blocks, tail {}",
+                        blocks,
+                        tail
+                    );
+                }
+            }
+            // And every prefix, up to a full-length frame body.
             for len in 0..=bytes.len() {
-                let bitwise = bytes[..len]
-                    .iter()
-                    .fold(CRC16_INIT, |crc, &b| crc16_ccitt_step(crc, b));
-                proptest::prop_assert_eq!(crc16_ccitt(&bytes[..len]), bitwise, "len {}", len);
+                let data = &bytes[..len];
+                proptest::prop_assert_eq!(crc16_ccitt(data), bitwise(data), "len {}", len);
             }
         }
     }

@@ -9,7 +9,9 @@ use crate::{shard_of, IngestConfig, ShardStats};
 pub struct IngestStats {
     /// One entry per shard, in shard order.
     pub per_shard: Vec<ShardStats>,
-    /// All shards merged.
+    /// All shards merged. Every count is the fleet's sum, except
+    /// `peak_sessions`: that is the largest single shard's peak, not the
+    /// most sessions the fleet held at once.
     pub totals: ShardStats,
 }
 
@@ -66,8 +68,10 @@ impl IngestService {
         self.shards.iter().map(Shard::live_sessions).sum()
     }
 
-    /// Closes the books: folds every live session into its shard's
-    /// aggregate and returns per-shard stats plus fleet totals.
+    /// Closes the books: decodes every batch still queued (offered since
+    /// the last [`IngestService::process_round`]), then returns per-shard
+    /// stats plus fleet totals. Nothing offered and accepted goes
+    /// unbooked.
     pub fn finish(mut self) -> IngestStats {
         let per_shard: Vec<ShardStats> = self.shards.iter_mut().map(Shard::finish).collect();
         let mut totals = ShardStats::default();
@@ -117,6 +121,26 @@ mod tests {
         assert_eq!(stats.totals.events, 24);
         assert_eq!(stats.totals.link.delivered, 24);
         assert_eq!(stats.totals.frames_in, 24);
+    }
+
+    #[test]
+    fn finish_decodes_batches_offered_since_the_last_round() {
+        let mut svc = IngestService::new(&IngestConfig::unbounded(2));
+        let mut txs: Vec<ArqTx> = (0..4).map(|_| ArqTx::new()).collect();
+        for (dev, tx) in txs.iter_mut().enumerate() {
+            assert!(svc.offer(dev as u64, &stream(tx, 3, 0)));
+        }
+        svc.process_round(1);
+        // Offered, never processed: finish must still decode them.
+        for (dev, tx) in txs.iter_mut().enumerate() {
+            assert!(svc.offer(dev as u64, &stream(tx, 2, 1)));
+        }
+        assert_eq!(svc.queued(), 4);
+        let stats = svc.finish().totals;
+        assert_eq!(stats.batches_in, 8);
+        assert_eq!(stats.records, 4 * (3 + 2));
+        assert_eq!(stats.frames_in, 4 * (3 + 2));
+        assert_eq!(stats.link.delivered, 4 * (3 + 2));
     }
 
     #[test]
