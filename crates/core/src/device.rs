@@ -475,8 +475,13 @@ impl DistScrollDevice {
     /// reverse channel — how the host's ARQ acknowledgements reach the
     /// firmware. Subject to the same loss, corruption and jitter as
     /// device telemetry; the device reads it on its next tick.
-    pub fn host_send(&mut self, payload: &[u8]) {
-        self.board.host_send(payload, &mut self.rng);
+    ///
+    /// Returns whether the payload went on air: `false` means the board
+    /// refused it as longer than one frame carries
+    /// ([`MAX_PAYLOAD`](distscroll_hw::link::MAX_PAYLOAD)), and nothing
+    /// was sent. A frame the channel then drops still returns `true`.
+    pub fn host_send(&mut self, payload: &[u8]) -> bool {
+        self.board.host_send(payload, &mut self.rng).is_ok()
     }
 
     /// ASCII art of the upper (menu) display.

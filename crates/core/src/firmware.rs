@@ -62,8 +62,7 @@ const LOWER_REDRAW_TICKS: u64 = 25;
 /// filter settings into the recognizer's own configuration. The classic
 /// chain folds the slew-gate activation rule (`filters.slew_gate &&
 /// !expert_foldback`) into its construction; the segmented engine takes
-/// a copy of the boot-calibrated curve so it can classify in distance
-/// space.
+/// a copy of the firmware's curve so it can classify in distance space.
 fn build_recognizer(profile: &DeviceProfile, curve: &InverseCurveFit) -> AnyRecognizer {
     match profile.recognizer {
         crate::profile::RecognizerKind::Classic => {
@@ -140,9 +139,10 @@ pub struct Firmware {
 }
 
 impl Firmware {
-    /// Boots the firmware: validates the profile, calibrates the curve
-    /// (the boot-time equivalent of the authors' Figure 4 fit) and builds
-    /// the island map for the menu's top level.
+    /// Boots the firmware: validates the profile, takes its copy of the
+    /// paper curve (the authors' Figure 4 fit, fitted once per process by
+    /// [`paper_curve`]) and builds the island map for the menu's top
+    /// level.
     ///
     /// # Errors
     ///
@@ -198,7 +198,8 @@ impl Firmware {
         &self.profile
     }
 
-    /// The boot-calibrated sensor curve.
+    /// The sensor curve in force: the paper curve from boot, or the
+    /// unit's own after [`Firmware::set_curve`].
     pub fn curve(&self) -> &InverseCurveFit {
         &self.curve
     }
@@ -730,7 +731,7 @@ impl Firmware {
                 Some(tx) => {
                     tx.enqueue(ArqClass::State, &payload, self.ticks)?;
                 }
-                None => board.send_telemetry(&payload, rng),
+                None => board.send_telemetry(&payload, rng)?,
             }
         }
         for te in &self.log.events()[events_at_tick_start..] {
@@ -745,7 +746,7 @@ impl Firmware {
                 Some(tx) => {
                     tx.enqueue(ArqClass::Event, &payload, self.ticks)?;
                 }
-                None => board.send_telemetry(&payload, rng),
+                None => board.send_telemetry(&payload, rng)?,
             }
         }
         if let Some(tx) = self.arq_tx.as_mut() {
@@ -755,7 +756,13 @@ impl Firmware {
             // ack-triggered fast retransmits are due at or before
             // `self.ticks`, so they always service.
             if tx.next_due_tick().is_some_and(|due| due <= self.ticks) {
-                tx.service(self.ticks, |wire| board.send_telemetry(wire, rng));
+                let mut sent = Ok(());
+                tx.service(self.ticks, |wire| {
+                    if let Err(e) = board.send_telemetry(wire, rng) {
+                        sent = Err(e);
+                    }
+                });
+                sent?;
             }
         }
         Ok(())

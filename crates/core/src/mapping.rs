@@ -25,6 +25,8 @@
 //! rejects (entries equally spaced in ADC code), used by ablation E7 to
 //! show why the inverse-curve equalization matters.
 
+use std::sync::LazyLock;
+
 use distscroll_sensors::calibrate::{fit_inverse_curve, InverseCurveFit};
 use distscroll_sensors::gp2d120;
 
@@ -35,21 +37,38 @@ pub fn volts_to_code(volts: f64) -> u16 {
     (volts / 5.0 * 1023.0).round().clamp(0.0, 1023.0) as u16
 }
 
-/// The fitted curve the firmware calibrates at boot, exactly as the
-/// authors did: sample the sensor at known distances across the valid
-/// range and fit the idealized law through the points.
-#[expect(
-    clippy::expect_used,
-    reason = "the ideal curve always fits its own law; covered by unit tests"
-)]
-pub fn paper_curve() -> InverseCurveFit {
-    let points: Vec<(f64, f64)> = (0..=26)
+/// The 27 datasheet points the paper curve is fitted through: the ideal
+/// sensor voltage every centimetre across the valid 4–30 cm range.
+fn paper_points() -> Vec<(f64, f64)> {
+    (0..=26)
         .map(|i| {
             let d = 4.0 + f64::from(i);
             (d, gp2d120::ideal_voltage(d))
         })
-        .collect();
-    fit_inverse_curve(&points).expect("the ideal curve always fits its own law")
+        .collect()
+}
+
+/// The fit behind [`paper_curve`], run once per process: its inputs are
+/// datasheet constants, so every fit would return the same bits.
+#[expect(
+    clippy::expect_used,
+    reason = "the ideal curve always fits its own law; covered by unit tests"
+)]
+static PAPER_CURVE: LazyLock<InverseCurveFit> = LazyLock::new(|| {
+    fit_inverse_curve(&paper_points()).expect("the ideal curve always fits its own law")
+});
+
+/// The fitted curve every device boots with, exactly as the authors
+/// calibrated it: sample the sensor at known distances across the valid
+/// range and fit the idealized law through the points.
+///
+/// The fit runs once per process and each call returns a copy of it. A
+/// device that calibrates its own unit on the jig
+/// ([`crate::device::DistScrollDevice::calibrate_on_jig`]) or loads a
+/// stored record ([`crate::device::DistScrollDevice::load_calibration`])
+/// replaces its own copy, never this one.
+pub fn paper_curve() -> InverseCurveFit {
+    *PAPER_CURVE
 }
 
 /// One island: the ADC-code interval that selects one entry.
@@ -662,6 +681,20 @@ mod tests {
                 w[0],
                 w[1]
             );
+        }
+    }
+
+    /// The process-wide curve is the fit itself, bit for bit: caching it
+    /// changed when the fit runs, not what it returns.
+    #[test]
+    fn paper_curve_is_a_fresh_fit_bit_for_bit() {
+        let fresh = fit_inverse_curve(&paper_points()).unwrap();
+        for cached in [paper_curve(), paper_curve()] {
+            assert_eq!(cached.a.to_bits(), fresh.a.to_bits());
+            assert_eq!(cached.d0.to_bits(), fresh.d0.to_bits());
+            assert_eq!(cached.c.to_bits(), fresh.c.to_bits());
+            assert_eq!(cached.r2.to_bits(), fresh.r2.to_bits());
+            assert_eq!(cached.rmse.to_bits(), fresh.rmse.to_bits());
         }
     }
 

@@ -8,7 +8,9 @@
 //! first test runs the PDA add-on — the onboard panels are powered down
 //! and the host renders from telemetry — because that is the
 //! configuration whose trial loops the eval harness runs hottest; the
-//! second runs the paper profile, whose panels redraw over I2C.
+//! second runs the paper profile, whose panels redraw over I2C. The last
+//! guards device boot: the paper curve's fit runs once per process, so a
+//! boot after the first allocates far less than one fit does.
 
 #![expect(
     clippy::expect_used,
@@ -139,4 +141,43 @@ fn steady_state_panel_redraws_allocate_nothing() {
     assert!(redraws > 0, "the status view must redraw during the window");
     assert_eq!(events, events_before, "the hand holds still: no events");
     assert_eq!(allocated, 0, "{redraws} status redraws must not allocate");
+}
+
+/// Booting a device takes a copy of the process-wide paper curve rather
+/// than refitting it: after one warm-up boot, a paper-profile boot makes
+/// far fewer allocation calls than one fit of the same 27 points.
+#[test]
+fn boot_does_not_refit_the_paper_curve() {
+    use distscroll_sensors::calibrate::fit_inverse_curve;
+    use distscroll_sensors::gp2d120;
+
+    let points: Vec<(f64, f64)> = (0..=26)
+        .map(|i| {
+            let d = 4.0 + f64::from(i);
+            (d, gp2d120::ideal_voltage(d))
+        })
+        .collect();
+    let before = allocations_on_this_thread();
+    fit_inverse_curve(&points).expect("the ideal curve fits its own law");
+    let fit_allocs = allocations_on_this_thread() - before;
+
+    drop(DistScrollDevice::new(
+        DeviceProfile::paper(),
+        Menu::flat(8),
+        20050607,
+    ));
+    let menu = Menu::flat(8);
+    let before = allocations_on_this_thread();
+    let dev = DistScrollDevice::new(DeviceProfile::paper(), menu, 20050607);
+    let boot_allocs = allocations_on_this_thread() - before;
+    drop(dev);
+
+    assert!(
+        fit_allocs > 64,
+        "one fit makes {fit_allocs} allocation calls; the guard below assumes it is costly"
+    );
+    assert!(
+        boot_allocs <= 32,
+        "a warm boot made {boot_allocs} allocation calls (one fit makes {fit_allocs}): is the paper curve refitted per boot?"
+    );
 }

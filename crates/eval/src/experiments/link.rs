@@ -34,6 +34,10 @@ pub struct LinkOutcome {
 }
 
 /// Pushes `n_frames` telemetry frames through a channel model.
+#[expect(
+    clippy::expect_used,
+    reason = "a six-byte telemetry record always fits one frame"
+)]
 pub fn characterize(drop_prob: f64, ber: f64, n_frames: usize, seed: u64) -> LinkOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
     let channel = RadioChannel::lossy(drop_prob, ber);
@@ -41,7 +45,7 @@ pub fn characterize(drop_prob: f64, ber: f64, n_frames: usize, seed: u64) -> Lin
     let mut arrived = 0usize;
     for k in 0..n_frames {
         let payload = [b'T', (k >> 8) as u8, k as u8, 0, 0, 0];
-        let frame = distscroll_hw::link::encode_frame(&payload);
+        let frame = distscroll_hw::link::encode_frame(&payload).expect("six bytes fit one frame");
         if let Some((_, bytes)) =
             channel.transmit(&frame, distscroll_hw::clock::SimInstant::BOOT, &mut rng)
         {

@@ -78,6 +78,13 @@ pub fn save(dir: &Path, bytes: &[u8]) -> io::Result<String> {
     Ok(name)
 }
 
+/// Frames one seed payload; every seed below is far shorter than one
+/// frame carries.
+#[expect(clippy::expect_used, reason = "seed payloads are short constants")]
+fn frame(payload: &[u8]) -> Vec<u8> {
+    encode_frame(payload).expect("a seed payload fits one frame")
+}
+
 /// The built-in seed set.
 ///
 /// Sources, in order: protocol known vectors, the shrunken failures from
@@ -87,34 +94,34 @@ pub fn save(dir: &Path, bytes: &[u8]) -> io::Result<String> {
 /// records.
 pub fn builtin_seeds() -> Vec<Vec<u8>> {
     // Known vectors from the unit tests.
-    let mut seeds: Vec<Vec<u8>> = vec![encode_frame(b"hello distscroll"), encode_frame(b"")];
+    let mut seeds: Vec<Vec<u8>> = vec![frame(b"hello distscroll"), frame(b"")];
     // The bit-flipped-length regression vector (frame of [0xff, 0xff]
     // with its length byte flipped 2 -> 0).
-    let mut flipped = encode_frame(&[0xff, 0xff]);
+    let mut flipped = frame(&[0xff, 0xff]);
     flipped[2] ^= 0x02;
     seeds.push(flipped);
 
     // Shrunken proptest failures (see proptest-regressions): a sync pair
     // followed by a length byte that swallows what follows.
     let mut shrunk = vec![SYNC1, SYNC2, 35, 0];
-    shrunk.extend_from_slice(&encode_frame(&[0])); // payload = [0]
+    shrunk.extend_from_slice(&frame(&[0])); // payload = [0]
     seeds.push(shrunk);
     let mut shrunk2 = vec![SYNC1, SYNC2, 22];
     for _ in 0..3 {
-        shrunk2.extend_from_slice(&encode_frame(b"x"));
+        shrunk2.extend_from_slice(&frame(b"x"));
     }
     seeds.push(shrunk2);
 
     // Back-to-back traffic.
     let mut burst = Vec::new();
     for i in 0..3u8 {
-        burst.extend_from_slice(&encode_frame(&[i; 3]));
+        burst.extend_from_slice(&frame(&[i; 3]));
     }
     seeds.push(burst);
 
     // The embedded-frame cascade: a corrupted header whose bogus length
     // swallows a complete valid frame.
-    let inner = encode_frame(b"inner");
+    let inner = frame(b"inner");
     let mut cascade = vec![SYNC1, SYNC2, 20];
     cascade.extend_from_slice(&inner);
     cascade.extend_from_slice(&[0u8; 10]);
@@ -122,21 +129,21 @@ pub fn builtin_seeds() -> Vec<Vec<u8>> {
     seeds.push(cascade);
 
     // ARQ data frame carrying an event record at seq 0.
-    seeds.push(encode_frame(&[b'D', 0, 0, b'E', 0, 1, b'A', 0]));
+    seeds.push(frame(&[b'D', 0, 0, b'E', 0, 1, b'A', 0]));
     // ARQ data frame at a mid-stream sequence number (resync adoption).
-    seeds.push(encode_frame(&[b'D', 0x01, 0xf4, b'E', 0, 2, b'H', 3]));
+    seeds.push(frame(&[b'D', 0x01, 0xf4, b'E', 0, 2, b'H', 3]));
     // Header-only data frame: valid CRC, no record — must be rejected.
-    seeds.push(encode_frame(&[b'D', 0, 7]));
+    seeds.push(frame(&[b'D', 0, 7]));
     // A well-formed ack, and an oversize one (trailing byte).
-    seeds.push(encode_frame(&[b'K', 0, 5, 0b101]));
-    seeds.push(encode_frame(&[b'K', 0, 5, 0b101, 9]));
+    seeds.push(frame(&[b'K', 0, 5, 0b101]));
+    seeds.push(frame(&[b'K', 0, 5, 0b101, 9]));
 
     // Raw telemetry: a state record and an event record, unframed by ARQ.
-    seeds.push(encode_frame(&[b'T', 0, 1, 0x02, 0x00, 0xff, 0, 2]));
-    seeds.push(encode_frame(&[b'E', 0, 9, b'>', 1]));
+    seeds.push(frame(&[b'T', 0, 1, 0x02, 0x00, 0xff, 0, 2]));
+    seeds.push(frame(&[b'E', 0, 9, b'>', 1]));
 
     // Truncated frame: header plus half a payload.
-    let full = encode_frame(b"truncate me");
+    let full = frame(b"truncate me");
     seeds.push(full[..6].to_vec());
     // Sync-byte starvation: a wall of SYNC1 with no SYNC2.
     seeds.push(vec![SYNC1; 64]);

@@ -217,7 +217,7 @@ mod tests {
     fn crc_fixing_mutator_yields_valid_frames() {
         use distscroll_hw::link::{encode_frame, FrameDecoder};
         let mut rng = StdRng::seed_from_u64(3);
-        let frame = encode_frame(b"some payload bytes here");
+        let frame = encode_frame(b"some payload bytes here").unwrap();
         let mut fixed_valid = 0;
         for _ in 0..100 {
             let mut buf = frame.clone();

@@ -506,9 +506,9 @@ fn service_data(
     step: usize,
 ) {
     let mut arrivals: Vec<Vec<u8>> = Vec::new();
-    tx.service(tick, |wire| {
-        let frame = encode_frame(wire);
-        chan.transmit(&frame, rng, |bytes| arrivals.push(bytes.to_vec()));
+    tx.service(tick, |wire| match encode_frame(wire) {
+        Ok(frame) => chan.transmit(&frame, rng, |bytes| arrivals.push(bytes.to_vec())),
+        Err(e) => *delta_violation = Some(format!("arq: a queued wire at step {step}: {e}")),
     });
     for bytes in arrivals {
         ingest_arrival(rx, fd, &bytes, delivered, delta_violation, step);
@@ -566,6 +566,10 @@ fn ingest_arrival(
 }
 
 /// Returns the receiver's current ack through its own lossy channel.
+#[expect(
+    clippy::expect_used,
+    reason = "an ack payload is a fixed four bytes and always fits one frame"
+)]
 fn return_ack(
     tx: &mut ArqTx,
     rx: &ArqRx<Vec<u8>>,
@@ -573,7 +577,7 @@ fn return_ack(
     fd_back: &mut FrameDecoder,
     rng: &mut StdRng,
 ) {
-    let frame = encode_frame(&rx.ack_payload());
+    let frame = encode_frame(&rx.ack_payload()).expect("an ack fits one frame");
     let mut acks: Vec<(Seq16, u8)> = Vec::new();
     ack_chan.transmit(&frame, rng, |bytes| {
         fd_back.push_with(bytes, |r| {
@@ -595,7 +599,7 @@ mod tests {
     fn reference_decoder_matches_on_clean_traffic() {
         let mut stream = Vec::new();
         for i in 0..5u8 {
-            stream.extend_from_slice(&encode_frame(&[i; 4]));
+            stream.extend_from_slice(&encode_frame(&[i; 4]).unwrap());
         }
         let out = run_frame(&stream);
         assert_eq!(out.violation, None);
@@ -609,7 +613,7 @@ mod tests {
 
     #[test]
     fn stream_target_clean_on_telemetry() {
-        let frame = encode_frame(&[b'E', 0, 9, b'>', 1]);
+        let frame = encode_frame(&[b'E', 0, 9, b'>', 1]).unwrap();
         assert_eq!(run_stream(&frame).violation, None);
     }
 

@@ -27,7 +27,7 @@
 //!
 //! let mut dec = StreamDecoder::new();
 //! // A state record as the firmware encodes it.
-//! let frame = encode_frame(&[b'T', 0, 10, 0x01, 0x42, 3, 0, 5]);
+//! let frame = encode_frame(&[b'T', 0, 10, 0x01, 0x42, 3, 0, 5]).unwrap();
 //! let records = dec.push_bytes(&frame);
 //! assert!(matches!(records[0], Record::State(_)));
 //! ```

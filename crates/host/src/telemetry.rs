@@ -548,10 +548,10 @@ mod tests {
         tx.service(0, |w| wires.push(w.to_vec()));
         let mut dec = StreamDecoder::with_arq();
         let mut stream = Vec::new();
-        stream.extend_from_slice(&encode_frame(&wires[0]));
-        stream.extend_from_slice(&encode_frame(&wires[2])); // ahead of a gap
-        stream.extend_from_slice(&encode_frame(&wires[1])); // fills the gap
-        stream.extend_from_slice(&encode_frame(&wires[0])); // duplicate
+        stream.extend_from_slice(&encode_frame(&wires[0]).unwrap());
+        stream.extend_from_slice(&encode_frame(&wires[2]).unwrap()); // ahead of a gap
+        stream.extend_from_slice(&encode_frame(&wires[1]).unwrap()); // fills the gap
+        stream.extend_from_slice(&encode_frame(&wires[0]).unwrap()); // duplicate
         let records = dec.push_bytes(&stream);
         let stamps: Vec<Stamp16> = records.iter().map(Record::stamp).collect();
         assert_eq!(
@@ -582,7 +582,7 @@ mod tests {
         let stamps = |dec: &mut StreamDecoder, wires: &[Vec<u8>]| -> Vec<Stamp16> {
             let mut bytes = Vec::new();
             for w in wires {
-                bytes.extend_from_slice(&encode_frame(w));
+                bytes.extend_from_slice(&encode_frame(w).unwrap());
             }
             dec.push_bytes(&bytes).iter().map(Record::stamp).collect()
         };
@@ -628,10 +628,10 @@ mod tests {
     fn stream_decoder_counts_and_collects() {
         let mut dec = StreamDecoder::new();
         let mut stream = Vec::new();
-        stream.extend_from_slice(&encode_frame(&[b'T', 0, 1, 0, 100, 2, 0, 3]));
-        stream.extend_from_slice(&encode_frame(&[b'E', 0, 2, b'A', 1]));
-        stream.extend_from_slice(&encode_frame(&[b'Z', 9, 9])); // unknown kind
-        let mut bad_crc = encode_frame(&[b'T', 0, 3, 0, 100, 2, 0, 3]);
+        stream.extend_from_slice(&encode_frame(&[b'T', 0, 1, 0, 100, 2, 0, 3]).unwrap());
+        stream.extend_from_slice(&encode_frame(&[b'E', 0, 2, b'A', 1]).unwrap());
+        stream.extend_from_slice(&encode_frame(&[b'Z', 9, 9]).unwrap()); // unknown kind
+        let mut bad_crc = encode_frame(&[b'T', 0, 3, 0, 100, 2, 0, 3]).unwrap();
         let len = bad_crc.len();
         bad_crc[len - 1] ^= 0xff;
         stream.extend_from_slice(&bad_crc);

@@ -10,6 +10,10 @@ use distscroll_hw::link::encode_frame;
 use proptest::prelude::*;
 
 /// Builds a valid wire stream of `n` alternating T/E records.
+#[expect(
+    clippy::unwrap_used,
+    reason = "a test helper fails the test by panicking"
+)]
 fn wire_stream(n: usize, base_stamp: u16) -> (Vec<u8>, usize) {
     let mut bytes = Vec::new();
     for k in 0..n {
@@ -19,7 +23,7 @@ fn wire_stream(n: usize, base_stamp: u16) -> (Vec<u8>, usize) {
         } else {
             vec![b'E', (stamp >> 8) as u8, stamp as u8, b'H', (k % 8) as u8]
         };
-        bytes.extend_from_slice(&encode_frame(&payload));
+        bytes.extend_from_slice(&encode_frame(&payload).unwrap());
     }
     (bytes, n)
 }
@@ -115,7 +119,7 @@ proptest! {
 
         for round in 0..2_000usize {
             let mut wires: Vec<Vec<u8>> = Vec::new();
-            tx.service(now, |w| wires.push(encode_frame(w)));
+            tx.service(now, |w| wires.push(encode_frame(w).unwrap()));
             if swap_pairs {
                 // The jitter model: adjacent frames trade places.
                 for pair in wires.chunks_mut(2) {

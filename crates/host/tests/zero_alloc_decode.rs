@@ -85,7 +85,7 @@ fn data_frames(tx: &mut ArqTx, count: u16) -> Vec<Vec<u8>> {
             0,
         )
         .unwrap();
-        tx.service(0, |w| wires.push(encode_frame(w)));
+        tx.service(0, |w| wires.push(encode_frame(w).unwrap()));
         // Pretend the ack arrived so the queue never fills or resends.
         tx.on_ack(
             distscroll_hw::arq::decode_data(&wires.last().unwrap()[3..])

@@ -398,13 +398,24 @@ impl Board {
     /// arrivals are visited with [`Board::poll_received`]. Wire-frame buffers are
     /// recycled from previous polls, so steady-state traffic allocates
     /// nothing once capacities have warmed up.
-    pub fn send_telemetry<R: Rng + ?Sized>(&mut self, payload: &[u8], rng: &mut R) {
+    ///
+    /// # Errors
+    ///
+    /// [`HwError::LinkFraming`], with nothing sent, if the payload is
+    /// longer than one frame carries
+    /// ([`MAX_PAYLOAD`](crate::link::MAX_PAYLOAD)).
+    pub fn send_telemetry<R: Rng + ?Sized>(
+        &mut self,
+        payload: &[u8],
+        rng: &mut R,
+    ) -> Result<(), HwError> {
         let now = self.clock.now();
         let len = self
             .uplink
-            .send(payload, &self.radio, now, &mut self.spare, rng);
+            .send(payload, &self.radio, now, &mut self.spare, rng)?;
         // Encoding + handing to the radio: ~8 cycles per byte.
         self.mcu.charge(8 * len as u64);
+        Ok(())
     }
 
     /// Visits every frame that has arrived at the host by now, in
@@ -417,16 +428,6 @@ impl Board {
         self.uplink.poll(now, &mut self.spare, |t| sink.frame(t));
     }
 
-    /// Frames handed to the radio since boot.
-    pub fn frames_sent(&self) -> u64 {
-        self.uplink.sent
-    }
-
-    /// Frames the channel dropped since boot.
-    pub fn frames_dropped(&self) -> u64 {
-        self.uplink.dropped
-    }
-
     /// Queues a payload from the host back to the device — the reverse
     /// channel the ARQ acknowledgements ride on.
     ///
@@ -434,10 +435,21 @@ impl Board {
     /// (the air does not care about direction): the frame may be
     /// dropped, corrupted or jittered. Buffers are recycled from the
     /// shared spare pool.
-    pub fn host_send<R: Rng + ?Sized>(&mut self, payload: &[u8], rng: &mut R) {
+    ///
+    /// # Errors
+    ///
+    /// [`HwError::LinkFraming`], with nothing sent, if the payload is
+    /// longer than one frame carries
+    /// ([`MAX_PAYLOAD`](crate::link::MAX_PAYLOAD)).
+    pub fn host_send<R: Rng + ?Sized>(
+        &mut self,
+        payload: &[u8],
+        rng: &mut R,
+    ) -> Result<(), HwError> {
         let now = self.clock.now();
         self.downlink
-            .send(payload, &self.radio, now, &mut self.spare, rng);
+            .send(payload, &self.radio, now, &mut self.spare, rng)?;
+        Ok(())
     }
 
     /// Visits every frame payload the device's UART decoder completes
@@ -457,16 +469,6 @@ impl Board {
             });
         });
     }
-
-    /// Host-to-device frames handed to the radio since boot.
-    pub fn host_frames_sent(&self) -> u64 {
-        self.downlink.sent
-    }
-
-    /// Host-to-device frames the channel dropped since boot.
-    pub fn host_frames_dropped(&self) -> u64 {
-        self.downlink.dropped
-    }
 }
 
 /// One direction of the radio link: frames in flight, the scratch their
@@ -484,7 +486,8 @@ struct Lane {
 impl Lane {
     /// Encodes `payload` into a recycled buffer and hands it to `radio`;
     /// a dropped frame's buffer goes straight back to `spare`. Returns
-    /// the frame's length on the wire.
+    /// the frame's length on the wire, or the encoder's refusal of an
+    /// oversize payload (nothing sent, no counter moved).
     fn send<R: Rng + ?Sized>(
         &mut self,
         payload: &[u8],
@@ -492,9 +495,12 @@ impl Lane {
         now: SimInstant,
         spare: &mut Vec<Vec<u8>>,
         rng: &mut R,
-    ) -> usize {
+    ) -> Result<usize, HwError> {
         let mut frame = spare.pop().unwrap_or_default();
-        encode_frame_into(payload, &mut frame);
+        if let Err(e) = encode_frame_into(payload, &mut frame) {
+            recycle(spare, frame);
+            return Err(e);
+        }
         let len = frame.len();
         self.sent += 1;
         match radio.transmit_in_place(&mut frame, now, rng) {
@@ -507,7 +513,7 @@ impl Lane {
                 recycle(spare, frame);
             }
         }
-        len
+        Ok(len)
     }
 
     /// Visits every frame whose arrival time has passed, in arrival
@@ -573,6 +579,7 @@ impl<R: Rng + ?Sized> rand::RngCore for ErasedRng<'_, R> {
 mod tests {
     use super::*;
     use crate::display::cmd;
+    use crate::link::MAX_PAYLOAD;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -643,7 +650,7 @@ mod tests {
     fn telemetry_round_trips_over_clean_air() {
         let mut board = Board::new();
         let mut rng = StdRng::seed_from_u64(0);
-        board.send_telemetry(b"adc=512", &mut rng);
+        board.send_telemetry(b"adc=512", &mut rng).unwrap();
         let mut got = Vec::new();
         board.poll_received(&mut |t: &Telemetry| got.push(t.clone()));
         assert!(got.is_empty(), "nothing arrives instantly");
@@ -659,8 +666,8 @@ mod tests {
     fn poll_received_visits_in_arrival_order_and_recycles_buffers() {
         let mut board = Board::new();
         let mut rng = StdRng::seed_from_u64(0);
-        board.send_telemetry(b"first", &mut rng);
-        board.send_telemetry(b"second", &mut rng);
+        board.send_telemetry(b"first", &mut rng).unwrap();
+        board.send_telemetry(b"second", &mut rng).unwrap();
         board.step(SimDuration::from_millis(50));
         let mut seen: Vec<(SimInstant, Vec<u8>)> = Vec::new();
         board.poll_received(&mut |t: &Telemetry| seen.push((t.arrival, t.bytes.clone())));
@@ -670,7 +677,7 @@ mod tests {
         assert_eq!(dec.push_all(&seen[0].1), vec![Ok(b"first".to_vec())]);
         // The visited buffers were recycled into the spare pool.
         assert_eq!(board.spare.len(), 2);
-        board.send_telemetry(b"third", &mut rng);
+        board.send_telemetry(b"third", &mut rng).unwrap();
         assert_eq!(board.spare.len(), 1, "send reuses a recycled buffer");
     }
 
@@ -678,17 +685,35 @@ mod tests {
     fn host_send_round_trips_to_the_device_decoder() {
         let mut board = Board::new();
         let mut rng = StdRng::seed_from_u64(3);
-        board.host_send(b"K\x00\x07\x01", &mut rng);
+        board.host_send(b"K\x00\x07\x01", &mut rng).unwrap();
         let mut got: Vec<Vec<u8>> = Vec::new();
         board.poll_host_received(|p| got.push(p.to_vec()));
         assert!(got.is_empty(), "nothing arrives instantly");
         board.step(SimDuration::from_millis(50));
         board.poll_host_received(|p| got.push(p.to_vec()));
         assert_eq!(got, vec![b"K\x00\x07\x01".to_vec()]);
-        assert_eq!(board.host_frames_sent(), 1);
-        assert_eq!(board.host_frames_dropped(), 0);
+        assert_eq!((board.downlink.sent, board.downlink.dropped), (1, 0));
         // The arrived buffer was recycled into the shared spare pool.
         assert_eq!(board.spare.len(), 1);
+    }
+
+    #[test]
+    fn oversize_payloads_are_refused_in_both_directions() {
+        let mut board = Board::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        let oversize = [0u8; MAX_PAYLOAD + 1];
+        assert!(matches!(
+            board.host_send(&oversize, &mut rng),
+            Err(HwError::LinkFraming { .. })
+        ));
+        assert!(matches!(
+            board.send_telemetry(&oversize, &mut rng),
+            Err(HwError::LinkFraming { .. })
+        ));
+        assert_eq!((board.uplink.sent, board.downlink.sent), (0, 0));
+        assert!(board.uplink.air.is_empty() && board.downlink.air.is_empty());
+        board.host_send(&[0u8; MAX_PAYLOAD], &mut rng).unwrap();
+        assert_eq!(board.downlink.sent, 1, "a full frame still goes on air");
     }
 
     #[test]
@@ -696,9 +721,8 @@ mod tests {
         let mut board = Board::new();
         board.set_radio(RadioChannel::lossy(1.0, 0.0));
         let mut rng = StdRng::seed_from_u64(0);
-        board.host_send(b"K\x00\x00\x00", &mut rng);
-        assert_eq!(board.host_frames_sent(), 1);
-        assert_eq!(board.host_frames_dropped(), 1);
+        board.host_send(b"K\x00\x00\x00", &mut rng).unwrap();
+        assert_eq!((board.downlink.sent, board.downlink.dropped), (1, 1));
     }
 
     #[test]
@@ -706,9 +730,8 @@ mod tests {
         let mut board = Board::new();
         board.set_radio(RadioChannel::lossy(1.0, 0.0));
         let mut rng = StdRng::seed_from_u64(0);
-        board.send_telemetry(b"x", &mut rng);
-        assert_eq!(board.frames_sent(), 1);
-        assert_eq!(board.frames_dropped(), 1);
+        board.send_telemetry(b"x", &mut rng).unwrap();
+        assert_eq!((board.uplink.sent, board.uplink.dropped), (1, 1));
     }
 
     /// Over seeded traffic in both directions on a lossy, jittery radio,
@@ -724,9 +747,9 @@ mod tests {
         let (mut up, mut down) = (0u64, 0u64);
         let mut most_in_flight = 0;
         for i in 0..2_000u32 {
-            board.send_telemetry(&i.to_le_bytes(), &mut rng);
+            board.send_telemetry(&i.to_le_bytes(), &mut rng).unwrap();
             if i % 3 == 0 {
-                board.host_send(b"K\x00\x07\x01", &mut rng);
+                board.host_send(b"K\x00\x07\x01", &mut rng).unwrap();
             }
             board.step(SimDuration::from_millis(1 + u64::from(i % 7)));
             if i % 5 == 0 {
@@ -745,9 +768,9 @@ mod tests {
                 most_in_flight = most_in_flight.max(lane.air.len());
             }
         }
-        assert_eq!(board.frames_sent(), 2_000);
-        assert_eq!(board.host_frames_sent(), 667);
-        assert!(board.frames_dropped() > 0 && board.host_frames_dropped() > 0);
+        assert_eq!(board.uplink.sent, 2_000);
+        assert_eq!(board.downlink.sent, 667);
+        assert!(board.uplink.dropped > 0 && board.downlink.dropped > 0);
         assert!(up > 0 && down > 0 && most_in_flight > 1);
     }
 

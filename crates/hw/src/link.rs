@@ -132,14 +132,14 @@ const fn crc16_ccitt_step(mut crc: u16, byte: u8) -> u16 {
 
 /// Encodes one payload into a wire frame.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the payload exceeds [`MAX_PAYLOAD`] bytes; split longer
-/// telemetry across frames instead.
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
+/// [`HwError::LinkFraming`] if the payload exceeds [`MAX_PAYLOAD`]
+/// bytes; split longer telemetry across frames instead.
+pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, HwError> {
     let mut frame = Vec::with_capacity(payload.len() + 5);
-    encode_frame_into(payload, &mut frame);
-    frame
+    encode_frame_into(payload, &mut frame)?;
+    Ok(frame)
 }
 
 /// Encodes one payload into a wire frame, appending to `out`.
@@ -147,15 +147,17 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 /// `out` is cleared first; with a recycled buffer of sufficient capacity
 /// this performs no heap allocation.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the payload exceeds [`MAX_PAYLOAD`] bytes; split longer
-/// telemetry across frames instead.
-pub fn encode_frame_into(payload: &[u8], out: &mut Vec<u8>) {
-    assert!(
-        payload.len() <= MAX_PAYLOAD,
-        "payload too long for one frame"
-    );
+/// [`HwError::LinkFraming`], with `out` untouched, if the payload
+/// exceeds [`MAX_PAYLOAD`] bytes; split longer telemetry across frames
+/// instead.
+pub fn encode_frame_into(payload: &[u8], out: &mut Vec<u8>) -> Result<(), HwError> {
+    if payload.len() > MAX_PAYLOAD {
+        return Err(HwError::LinkFraming {
+            reason: "payload too long for one frame",
+        });
+    }
     out.clear();
     out.push(SYNC1);
     out.push(SYNC2);
@@ -169,6 +171,7 @@ pub fn encode_frame_into(payload: &[u8], out: &mut Vec<u8>) {
     let crc = crc16_ccitt(&out[2..]);
     out.push((crc >> 8) as u8);
     out.push((crc & 0xff) as u8);
+    Ok(())
 }
 
 /// Longest frame on the wire: sync pair, length byte, payload and CRC.
@@ -715,7 +718,7 @@ fn forge_truncated<R: Rng + ?Sized>(frame: &[u8], rng: &mut R) -> Option<Vec<u8>
         return None;
     }
     let keep = rng.gen_range(0..len);
-    Some(encode_frame(&frame[3..3 + keep]))
+    encode_frame(&frame[3..3 + keep]).ok()
 }
 
 #[cfg(test)]
@@ -767,7 +770,7 @@ mod tests {
     fn frame_crc_covers_the_length_byte() {
         // Known frame vector: the CRC is over [len, payload...], not the
         // payload alone.
-        let frame = encode_frame(b"A");
+        let frame = encode_frame(b"A").unwrap();
         let expect = crc16_ccitt(&[0x01, b'A']);
         assert_eq!(
             frame,
@@ -789,7 +792,7 @@ mod tests {
         // two 0xFF payload bytes as the CRC — and crc16("") == 0xFFFF, so
         // a truncated (empty) payload was *accepted*. The length byte is
         // under the CRC now, so the corruption is caught.
-        let mut frame = encode_frame(&[0xff, 0xff]);
+        let mut frame = encode_frame(&[0xff, 0xff]).unwrap();
         frame[2] ^= 0x02; // len 2 -> 0
         let mut dec = FrameDecoder::new();
         let got = dec.push_all(&frame);
@@ -803,7 +806,7 @@ mod tests {
     #[test]
     fn push_with_lends_payloads_from_the_input() {
         let mut dec = FrameDecoder::new();
-        let frame = encode_frame(b"borrowed");
+        let frame = encode_frame(b"borrowed").unwrap();
         let mut seen = 0;
         dec.push_with(&frame, |res| {
             let p = res.unwrap();
@@ -816,7 +819,7 @@ mod tests {
         });
         assert_eq!(seen, 1);
         // A frame split across pushes completes on the push that ends it.
-        let split = encode_frame(b"next");
+        let split = encode_frame(b"next").unwrap();
         let (head, tail) = split.split_at(4);
         assert_eq!(dec.push_all(head), vec![]);
         assert_eq!(dec.pending_bytes(), 4);
@@ -828,7 +831,7 @@ mod tests {
     #[test]
     fn encode_decode_round_trip() {
         let mut dec = FrameDecoder::new();
-        let frame = encode_frame(b"hello distscroll");
+        let frame = encode_frame(b"hello distscroll").unwrap();
         let got = dec.push_all(&frame);
         assert_eq!(got, vec![Ok(b"hello distscroll".to_vec())]);
         assert_eq!(dec.frames_ok(), 1);
@@ -837,20 +840,20 @@ mod tests {
     #[test]
     fn empty_payload_round_trips() {
         let mut dec = FrameDecoder::new();
-        let got = dec.push_all(&encode_frame(b""));
+        let got = dec.push_all(&encode_frame(b"").unwrap());
         assert_eq!(got, vec![Ok(vec![])]);
     }
 
     #[test]
     fn corrupted_payload_fails_crc_then_resyncs() {
         let mut dec = FrameDecoder::new();
-        let mut frame = encode_frame(b"abcdef");
+        let mut frame = encode_frame(b"abcdef").unwrap();
         frame[4] ^= 0x01; // flip a payload bit
         let got = dec.push_all(&frame);
         assert_eq!(got.len(), 1);
         assert!(matches!(got[0], Err(HwError::LinkCrc { .. })));
         // The next clean frame still decodes.
-        let got = dec.push_all(&encode_frame(b"next"));
+        let got = dec.push_all(&encode_frame(b"next").unwrap());
         assert_eq!(got, vec![Ok(b"next".to_vec())]);
     }
 
@@ -858,7 +861,7 @@ mod tests {
     fn decoder_skips_garbage_before_sync() {
         let mut dec = FrameDecoder::new();
         let mut stream = vec![0x00, 0x13, 0x37];
-        stream.extend_from_slice(&encode_frame(b"x"));
+        stream.extend_from_slice(&encode_frame(b"x").unwrap());
         let got = dec.push_all(&stream);
         assert_eq!(got, vec![Ok(b"x".to_vec())]);
         assert_eq!(dec.bytes_skipped(), 3);
@@ -869,7 +872,7 @@ mod tests {
         let mut dec = FrameDecoder::new();
         // 0xAA 0xAA 0x55 ... : the first 0xAA is a spurious byte.
         let mut stream = vec![SYNC1];
-        stream.extend_from_slice(&encode_frame(b"ok"));
+        stream.extend_from_slice(&encode_frame(b"ok").unwrap());
         let got = dec.push_all(&stream);
         assert_eq!(got, vec![Ok(b"ok".to_vec())]);
     }
@@ -879,7 +882,7 @@ mod tests {
         let mut dec = FrameDecoder::new();
         let mut stream = Vec::new();
         for i in 0..10u8 {
-            stream.extend_from_slice(&encode_frame(&[i; 3]));
+            stream.extend_from_slice(&encode_frame(&[i; 3]).unwrap());
         }
         let got = dec.push_all(&stream);
         assert_eq!(got.len(), 10);
@@ -887,16 +890,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "payload too long")]
-    fn oversized_payload_is_rejected() {
-        let _ = encode_frame(&[0u8; 256]);
+    fn oversized_payload_is_refused() {
+        assert!(matches!(
+            encode_frame(&[0u8; MAX_PAYLOAD + 1]),
+            Err(HwError::LinkFraming { .. })
+        ));
+        let mut out = vec![1, 2, 3];
+        assert!(encode_frame_into(&[0u8; MAX_PAYLOAD + 1], &mut out).is_err());
+        assert_eq!(
+            out,
+            [1, 2, 3],
+            "a refused payload leaves the buffer untouched"
+        );
+        assert_eq!(
+            encode_frame(&[0u8; MAX_PAYLOAD]).unwrap().len(),
+            MAX_PAYLOAD + 5
+        );
     }
 
     #[test]
     fn clean_channel_delivers_everything() {
         let ch = RadioChannel::clean();
         let mut rng = StdRng::seed_from_u64(0);
-        let frame = encode_frame(b"telemetry");
+        let frame = encode_frame(b"telemetry").unwrap();
         for _ in 0..100 {
             let (arrival, bytes) = ch.transmit(&frame, SimInstant::BOOT, &mut rng).unwrap();
             assert_eq!(bytes, frame);
@@ -908,7 +924,7 @@ mod tests {
     fn drop_probability_is_respected() {
         let ch = RadioChannel::lossy(0.3, 0.0);
         let mut rng = StdRng::seed_from_u64(11);
-        let frame = encode_frame(b"x");
+        let frame = encode_frame(b"x").unwrap();
         let delivered = (0..10_000)
             .filter(|_| ch.transmit(&frame, SimInstant::BOOT, &mut rng).is_some())
             .count();
@@ -926,7 +942,7 @@ mod tests {
         let ch = RadioChannel::lossy(0.0, 0.002);
         let mut rng = StdRng::seed_from_u64(5);
         let mut dec = FrameDecoder::new();
-        let frame = encode_frame(b"payload with enough bytes to hit errors");
+        let frame = encode_frame(b"payload with enough bytes to hit errors").unwrap();
         let mut delivered_ok = 0;
         for _ in 0..500 {
             if let Some((_, bytes)) = ch.transmit(&frame, SimInstant::BOOT, &mut rng) {
@@ -946,8 +962,8 @@ mod tests {
     #[test]
     fn encode_frame_into_matches_owned_form() {
         let mut buf = vec![0xffu8; 64]; // stale contents must be cleared
-        encode_frame_into(b"hello distscroll", &mut buf);
-        assert_eq!(buf, encode_frame(b"hello distscroll"));
+        encode_frame_into(b"hello distscroll", &mut buf).unwrap();
+        assert_eq!(buf, encode_frame(b"hello distscroll").unwrap());
     }
 
     #[test]
@@ -958,7 +974,7 @@ mod tests {
         };
         let mut rng_a = StdRng::seed_from_u64(42);
         let mut rng_b = StdRng::seed_from_u64(42);
-        let frame = encode_frame(b"same rng stream either way");
+        let frame = encode_frame(b"same rng stream either way").unwrap();
         for _ in 0..200 {
             let owned = ch.transmit(&frame, SimInstant::BOOT, &mut rng_a);
             let mut buf = frame.clone();
@@ -986,7 +1002,7 @@ mod tests {
     fn failed_attempt_bytes_are_reexamined_for_embedded_frames() {
         // A corrupted header swallows a legitimate frame that starts
         // inside the attempt; the decoder must recover it.
-        let inner = encode_frame(b"inner");
+        let inner = encode_frame(b"inner").unwrap();
         let mut stream = vec![SYNC1, SYNC2, 20]; // bogus length 20
         stream.extend_from_slice(&inner); // 10 bytes of real frame
         stream.extend_from_slice(&[0u8; 10]); // filler to fill the length
@@ -1006,10 +1022,10 @@ mod tests {
         // pushed == skipped + accepted + pending, even across failed
         // attempts and replayed bytes.
         let mut stream = vec![0x13, SYNC1, 0x37];
-        let mut bad = encode_frame(b"doomed");
+        let mut bad = encode_frame(b"doomed").unwrap();
         bad[4] ^= 0x40;
         stream.extend_from_slice(&bad);
-        stream.extend_from_slice(&encode_frame(b"good"));
+        stream.extend_from_slice(&encode_frame(b"good").unwrap());
         stream.extend_from_slice(&[SYNC1, SYNC2, 5, 1, 2]); // partial frame
         let mut dec = FrameDecoder::new();
         let _ = dec.push_all(&stream);
@@ -1029,7 +1045,7 @@ mod tests {
         // bytes, but bytes_skipped only counted one.
         let mut dec = FrameDecoder::new();
         let mut stream = vec![SYNC1, 0x42];
-        stream.extend_from_slice(&encode_frame(b"x"));
+        stream.extend_from_slice(&encode_frame(b"x").unwrap());
         let got = dec.push_all(&stream);
         assert_eq!(got, vec![Ok(b"x".to_vec())]);
         assert_eq!(dec.bytes_skipped(), 2);
@@ -1041,7 +1057,7 @@ mod tests {
 
     #[test]
     fn recovered_frames_surface_without_new_input() {
-        let inner = encode_frame(b"late");
+        let inner = encode_frame(b"late").unwrap();
         let mut stream = vec![SYNC1, SYNC2, 13]; // swallows inner + filler
         stream.extend_from_slice(&inner);
         stream.extend_from_slice(&[0u8; 4]);
@@ -1065,7 +1081,7 @@ mod tests {
 
     #[test]
     fn adversarial_channel_is_deterministic() {
-        let frame = encode_frame(b"determinism");
+        let frame = encode_frame(b"determinism").unwrap();
         let mut runs = Vec::new();
         for _ in 0..2 {
             let mut ch = AdversarialChannel::hostile();
@@ -1094,7 +1110,7 @@ mod tests {
 
     #[test]
     fn forged_truncations_carry_a_valid_crc() {
-        let frame = encode_frame(b"forge me please");
+        let frame = encode_frame(b"forge me please").unwrap();
         let mut ch = AdversarialChannel::new(GilbertElliott::clean());
         ch.truncate_probability = 1.0;
         let mut rng = StdRng::seed_from_u64(7);
@@ -1122,7 +1138,7 @@ mod tests {
             ..RadioChannel::clean()
         };
         let mut rng = StdRng::seed_from_u64(2);
-        let frame = encode_frame(b"j");
+        let frame = encode_frame(b"j").unwrap();
         let mut arrivals = std::collections::BTreeSet::new();
         for _ in 0..50 {
             let (t, _) = ch.transmit(&frame, SimInstant::BOOT, &mut rng).unwrap();

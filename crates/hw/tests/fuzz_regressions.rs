@@ -15,7 +15,7 @@ use distscroll_hw::link::{crc16_ccitt, encode_frame, FrameDecoder, SYNC1, SYNC2}
 /// `frames_ok == 0`.
 #[test]
 fn minimized_embedded_frame_cascade_recovers_inner_frame() {
-    let inner = encode_frame(b"inner"); // 10 bytes: AA 55 05 i n n e r crc crc
+    let inner = encode_frame(b"inner").unwrap(); // 10 bytes: AA 55 05 i n n e r crc crc
     let mut input = vec![SYNC1, SYNC2, 20];
     input.extend_from_slice(&inner);
     input.extend_from_slice(&[0u8; 10]);
@@ -87,7 +87,7 @@ fn minimized_header_only_data_frame_is_rejected() {
     let mut rx = ArqRx::<()>::new();
     let mut delivered = 0u64;
     for payload in fd
-        .push_all(&encode_frame(&[b'D', 0, 0]))
+        .push_all(&encode_frame(&[b'D', 0, 0]).unwrap())
         .into_iter()
         .flatten()
     {
@@ -136,6 +136,48 @@ fn enqueue_refuses_records_no_data_frame_can_carry() {
     );
 }
 
+/// The last assert on the send side, minimized: a 256-byte host payload,
+/// one byte more than a frame's length byte can describe. The frame
+/// encoder asserted on it, so any caller of the public `Board::host_send`
+/// could panic the simulator; both now refuse it with an error, put
+/// nothing on the air, and leave the link usable.
+#[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a bare board has no firmware tick; stepping it directly lets the sent frame land"
+)]
+fn oversize_host_payload_is_refused_not_panicked() {
+    use distscroll_hw::board::Board;
+    use distscroll_hw::clock::SimDuration;
+    use distscroll_hw::link::MAX_PAYLOAD;
+    use distscroll_hw::HwError;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let payload = [0x4b; 256];
+    assert_eq!(payload.len(), MAX_PAYLOAD + 1);
+    assert!(matches!(
+        encode_frame(&payload),
+        Err(HwError::LinkFraming { .. })
+    ));
+
+    let mut board = Board::new();
+    let mut rng = StdRng::seed_from_u64(20050607);
+    assert!(matches!(
+        board.host_send(&payload, &mut rng),
+        Err(HwError::LinkFraming { .. })
+    ));
+    board.host_send(b"K\x00\x07\x01", &mut rng).unwrap();
+    board.step(SimDuration::from_millis(50));
+    let mut got: Vec<Vec<u8>> = Vec::new();
+    board.poll_host_received(|p| got.push(p.to_vec()));
+    assert_eq!(
+        got,
+        vec![b"K\x00\x07\x01".to_vec()],
+        "only the good frame went on air"
+    );
+}
+
 /// Hardening twin of the header-only case: an ack payload with trailing
 /// bytes is not an ack. (Held by the pre-fix exact-shape pattern too;
 /// pinned so the explicit length check can never regress to a prefix
@@ -160,7 +202,7 @@ fn minimized_bit_flipped_length_resyncs_on_following_frames() {
     // reads the third frame's sync pair as its CRC.
     let mut input = vec![SYNC1, SYNC2, 12];
     for _ in 0..3 {
-        input.extend_from_slice(&encode_frame(b"x")); // 6 bytes each
+        input.extend_from_slice(&encode_frame(b"x").unwrap()); // 6 bytes each
     }
     assert_eq!(input.len(), 21);
     // Guard the vector: the attempt's wire CRC (0xAA55) is wrong.

@@ -174,7 +174,9 @@ fn harsh_session_delivers_an_exact_prefix() {
         }
         let mut arrivals: Vec<Vec<u8>> = Vec::new();
         tx.service(tick, |wire| {
-            data_chan.transmit(&encode_frame(wire), &mut rng, |b| arrivals.push(b.to_vec()));
+            data_chan.transmit(&encode_frame(wire).unwrap(), &mut rng, |b| {
+                arrivals.push(b.to_vec())
+            });
         });
         if tick % 64 == 0 {
             data_chan.flush(|b| arrivals.push(b.to_vec()));
@@ -188,7 +190,7 @@ fn harsh_session_delivers_an_exact_prefix() {
         }
         if tick % 2 == 0 {
             let mut acks: Vec<Vec<u8>> = Vec::new();
-            ack_chan.transmit(&encode_frame(&rx.ack_payload()), &mut rng, |b| {
+            ack_chan.transmit(&encode_frame(&rx.ack_payload()).unwrap(), &mut rng, |b| {
                 acks.push(b.to_vec());
             });
             for bytes in acks {

@@ -12,7 +12,7 @@ proptest! {
     #[test]
     fn any_payload_round_trips(payload in proptest::collection::vec(any::<u8>(), 0..=MAX_PAYLOAD)) {
         let mut dec = FrameDecoder::new();
-        let got = dec.push_all(&encode_frame(&payload));
+        let got = dec.push_all(&encode_frame(&payload).unwrap());
         prop_assert_eq!(got, vec![Ok(payload)]);
     }
 
@@ -35,7 +35,7 @@ proptest! {
         byte_idx in 0usize..64,
         bit in 0u8..8,
     ) {
-        let mut frame = encode_frame(&payload);
+        let mut frame = encode_frame(&payload).unwrap();
         // Flip one bit after the header (payload or CRC region).
         let idx = 3 + byte_idx % (frame.len() - 3);
         frame[idx] ^= 1 << bit;
@@ -60,7 +60,7 @@ proptest! {
         // notices, so recovery is only guaranteed once that many bytes of
         // real frames have flowed — push frames until past that bound.
         let _ = dec.push_all(&junk);
-        let frame = encode_frame(&payload);
+        let frame = encode_frame(&payload).unwrap();
         let mut decoded = false;
         let mut pushed = 0usize;
         while pushed <= 255 + 5 + 2 * frame.len() {
@@ -105,7 +105,7 @@ proptest! {
         // bit flipped, separated by junk rich in sync bytes.
         let mut stream = Vec::new();
         for (payload, flip, junk) in &parts {
-            let mut frame = encode_frame(&payload[..payload.len().min(MAX_PAYLOAD)]);
+            let mut frame = encode_frame(&payload[..payload.len().min(MAX_PAYLOAD)]).unwrap();
             if *flip < frame.len() * 8 {
                 frame[flip / 8] ^= 1 << (flip % 8);
             }

@@ -237,6 +237,10 @@ impl ScriptedSession {
 /// ack lag puts fast-retransmit duplicates at chunk heads where a
 /// resumed receiver would adopt them. Exactness tests use these
 /// templates; [`capture_template`] streams exercise realism instead.
+#[expect(
+    clippy::expect_used,
+    reason = "ArqTx::enqueue bounds every queued wire to one frame's payload"
+)]
 pub fn inorder_template(rounds: u64, per_round: u64) -> Template {
     use distscroll_hw::arq::{decode_ack, decode_data, ArqClass, ArqRx, ArqTx};
     use distscroll_hw::link::encode_frame;
@@ -262,7 +266,7 @@ pub fn inorder_template(rounds: u64, per_round: u64) -> Template {
         let mut chunk = Vec::new();
         let deliveries = &mut records;
         tx.service(round, |wire| {
-            chunk.extend_from_slice(&encode_frame(wire));
+            chunk.extend_from_slice(&encode_frame(wire).expect("an arq wire fits one frame"));
             if let Some((seq, _)) = decode_data(wire) {
                 rx.on_data(seq, || (), |()| *deliveries += 1);
             }

@@ -94,7 +94,9 @@ mod tests {
                 .unwrap();
         }
         let mut bytes = Vec::new();
-        tx.service(tick, |wire| bytes.extend_from_slice(&encode_frame(wire)));
+        tx.service(tick, |wire| {
+            bytes.extend_from_slice(&encode_frame(wire).unwrap())
+        });
         bytes
     }
 

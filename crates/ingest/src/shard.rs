@@ -420,7 +420,9 @@ mod tests {
                 .unwrap();
         }
         let mut bytes = Vec::new();
-        tx.service(tick, |wire| bytes.extend_from_slice(&encode_frame(wire)));
+        tx.service(tick, |wire| {
+            bytes.extend_from_slice(&encode_frame(wire).unwrap())
+        });
         bytes
     }
 
@@ -499,7 +501,7 @@ mod tests {
         let mut bytes = Vec::new();
         for i in 0..n {
             let [hi, lo] = seq.to_be_bytes();
-            bytes.extend_from_slice(&encode_frame(&[b'D', hi, lo, b'E', 0, i, b'B', 0]));
+            bytes.extend_from_slice(&encode_frame(&[b'D', hi, lo, b'E', 0, i, b'B', 0]).unwrap());
             *seq = seq.wrapping_add(1);
         }
         bytes
