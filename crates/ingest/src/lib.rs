@@ -36,9 +36,13 @@
 //!   Offers beyond it are *shed with a counter* ([`ShardStats::shed_batches`]),
 //!   never silently dropped: the caller learns immediately (the offer
 //!   returns `false`) and the books record it permanently. A round's
-//!   byte slab holds at most 4 GiB per shard; an offer past that sheds
-//!   the same way. [`IngestService::finish`] decodes whatever is still
-//!   queued before it closes the books.
+//!   offered bytes wait in one buffer the service owns: an offer appends
+//!   its chunk there and queues the chunk's `u32` range on the owning
+//!   shard, and every shard's drain reads the buffer before the round
+//!   clears it. One round therefore holds at most 4 GiB across all
+//!   shards; an offer past that sheds the same way, counted by the
+//!   shard the device hashes to. [`IngestService::finish`] decodes
+//!   whatever is still queued before it closes the books.
 //! * **Bounded sessions** — each shard holds at most `session_capacity`
 //!   live sessions. Opening one more evicts the least-recently-touched
 //!   session (ties cannot occur: touches are serialized per shard).
@@ -58,12 +62,16 @@
 //!   slot in its shard's table: the device id, the frame decoder's
 //!   carry, and the ARQ receiver's expected sequence number, sync flag
 //!   and a fixed ring of [`WINDOW`](distscroll_hw::arq::WINDOW) parked
-//!   records. The recency links are a side array of `u32` pairs and a
-//!   queued batch is a device id with a `u32` range of the shard's byte
-//!   slab. The one thing that still allocates per session is the frame
-//!   decoder's carry, and only once a frame splits across two batches.
-//!   `tests/zero_alloc_sessions.rs` holds opening, evicting and decoding
-//!   at the bound to zero allocations.
+//!   records. A resident device costs that slot, its 8-byte recency
+//!   links (a side array of `u32` pairs), its device-index entry (a
+//!   16-byte bucket and a control byte, at most 7/8 full), a 16-byte
+//!   queue entry per batch it has queued (a device id and a `u32`
+//!   range), and the bytes of that batch in the service's round buffer,
+//!   plus the tables' growth slack. The one thing that still allocates
+//!   per session is the frame decoder's carry, and only once a frame
+//!   splits across two batches. `tests/zero_alloc_sessions.rs` holds
+//!   opening, evicting and decoding at the bound to zero allocations,
+//!   and a round with more bytes to one growth of the round buffer.
 //! * **Streaming aggregation** — `LinkQuality` and interaction counters
 //!   accumulate online per shard; nothing retains per-frame history.
 //!

@@ -25,6 +25,11 @@ pub struct IngestStats {
 #[derive(Debug)]
 pub struct IngestService {
     shards: Vec<Shard>,
+    /// The round's offered bytes, back to back across every shard; each
+    /// shard's queue holds ranges of it. Reused every round, it grows to
+    /// the largest round once, past the allocator's mmap threshold, where
+    /// it grows in place and only its touched pages are resident.
+    round: Vec<u8>,
     high_water: usize,
 }
 
@@ -35,27 +40,32 @@ impl IngestService {
             shards: (0..cfg.shards)
                 .map(|_| Shard::new(cfg.session_capacity))
                 .collect(),
+            round: Vec::new(),
             high_water: cfg.high_water,
         }
     }
 
     /// Offers one device's chunk of radio bytes. Returns `false` when
-    /// the owning shard is at its high-water mark and shed the chunk
-    /// (the shed is also counted in that shard's stats).
+    /// the owning shard is at its high-water mark, or the round's bytes
+    /// would pass 4 GiB, and shed the chunk (the shed is also counted in
+    /// that shard's stats).
     pub fn offer(&mut self, device: u64, bytes: &[u8]) -> bool {
         let idx = shard_of(device, self.shards.len());
-        self.shards[idx].enqueue(device, bytes, self.high_water)
+        self.shards[idx].enqueue(device, bytes, &mut self.round, self.high_water)
     }
 
     /// Drains every shard's queue, fanning the shards out over up to
     /// `jobs` threads. Each shard is lent `&mut` to exactly one thread
-    /// and owns its sessions exclusively, so every counter is identical
-    /// at any `jobs` — the knob buys wall-clock time only. At `jobs = 1`
+    /// and owns its sessions exclusively, while the round's bytes are
+    /// lent read-only to all of them, so every counter is identical at
+    /// any `jobs` — the knob buys wall-clock time only. At `jobs = 1`
     /// this is a plain loop over the shards.
     pub fn process_round(&mut self, jobs: usize) {
+        let round = &self.round;
         distscroll_par::par_for_each_mut(jobs, &mut self.shards, |_, shard| {
-            shard.process_queue();
+            shard.process_queue(round);
         });
+        self.round.clear();
     }
 
     /// Batches queued across all shards and not yet processed.
@@ -73,7 +83,11 @@ impl IngestService {
     /// stats plus fleet totals. Nothing offered and accepted goes
     /// unbooked.
     pub fn finish(mut self) -> IngestStats {
-        let per_shard: Vec<ShardStats> = self.shards.iter_mut().map(Shard::finish).collect();
+        let per_shard: Vec<ShardStats> = self
+            .shards
+            .iter_mut()
+            .map(|shard| shard.finish(&self.round))
+            .collect();
         let mut totals = ShardStats::default();
         for s in &per_shard {
             totals.merge(s);

@@ -14,9 +14,11 @@ use distscroll_host::telemetry::{DecodeBooks, DecodeState, Record};
 use distscroll_hw::arq::LinkQuality;
 
 /// One queued, not-yet-decoded chunk of a device's radio stream: a
-/// range of its shard's byte slab. The range is `u32`, so a round's
-/// slab holds at most `u32::MAX` bytes; an offer that would grow it
-/// past that is shed like one past the high-water mark.
+/// range of the round's byte buffer, which the ingest service owns and
+/// every shard's queue indexes into. The range is `u32`, so one round
+/// holds at most `u32::MAX` bytes across all shards; an offer that
+/// would grow the buffer past that is shed like one past the
+/// high-water mark, and counted by the shard the device hashes to.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Batch {
     device: u64,
@@ -48,9 +50,10 @@ pub struct ShardStats {
     pub events: u64,
     /// State-snapshot records seen by the streaming sink.
     pub states: u64,
-    /// Batches refused at the high-water mark (or because the round's
-    /// byte slab is full at 4 GiB). Never silent: the offer that sheds
-    /// returns `false` *and* the count is permanent.
+    /// Batches refused at this shard's high-water mark, or because the
+    /// service's round buffer, shared by every shard, is full at 4 GiB
+    /// (the shard the device hashes to counts that shed). Never silent:
+    /// the offer that sheds returns `false` *and* the count is permanent.
     pub shed_batches: u64,
     /// Radio bytes refused with those batches.
     pub shed_bytes: u64,
@@ -187,9 +190,8 @@ pub(crate) struct Shard {
     /// head in O(1).
     lru: u32,
     mru: u32,
+    /// Ranges of the service's round buffer, in arrival order.
     queue: Vec<Batch>,
-    /// The queued batches' bytes, back to back; reused every round.
-    slab: Vec<u8>,
     /// Every session's decode counters, booked as they happen.
     books: DecodeBooks,
     /// The shard's own counters. Its decode fields stay zero:
@@ -208,18 +210,24 @@ impl Shard {
             lru: NIL,
             mru: NIL,
             queue: Vec::new(),
-            slab: Vec::new(),
             books: DecodeBooks::default(),
             stats: ShardStats::default(),
             capacity: capacity.min(MAX_SLOTS),
         }
     }
 
-    /// Accepts a chunk of one device's radio stream into the queue, or
-    /// sheds it at the high-water mark (or when the round's byte slab is
-    /// full). Returns whether it was accepted.
-    pub(crate) fn enqueue(&mut self, device: u64, bytes: &[u8], high_water: usize) -> bool {
-        let start = self.slab.len();
+    /// Accepts a chunk of one device's radio stream: appends it to the
+    /// service's `round` buffer and queues its range. Sheds it instead at
+    /// the high-water mark, or when `round` would pass 4 GiB. Returns
+    /// whether it was accepted.
+    pub(crate) fn enqueue(
+        &mut self,
+        device: u64,
+        bytes: &[u8],
+        round: &mut Vec<u8>,
+        high_water: usize,
+    ) -> bool {
+        let start = round.len();
         let end = u32::try_from(start + bytes.len());
         if self.queue.len() >= high_water || end.is_err() {
             self.stats.shed_batches += 1;
@@ -228,7 +236,7 @@ impl Shard {
         }
         self.stats.batches_in += 1;
         self.stats.bytes_in += bytes.len() as u64;
-        self.slab.extend_from_slice(bytes);
+        round.extend_from_slice(bytes);
         // Both are at most `end`, which fits a `u32`.
         self.queue.push(Batch {
             device,
@@ -239,8 +247,9 @@ impl Shard {
     }
 
     /// Drains the queue in FIFO order through the owning sessions, into
-    /// the shard's books.
-    pub(crate) fn process_queue(&mut self) {
+    /// the shard's books. `round` is the buffer the queued ranges were
+    /// appended to; the caller clears it once every shard has drained.
+    pub(crate) fn process_queue(&mut self, round: &[u8]) {
         let mut queue = std::mem::take(&mut self.queue);
         for batch in queue.drain(..) {
             let slot = match self.find(batch.device) {
@@ -251,7 +260,7 @@ impl Shard {
                 None => self.open(batch.device),
             };
             let start = batch.start as usize;
-            let bytes = &self.slab[start..start + batch.len as usize];
+            let bytes = &round[start..start + batch.len as usize];
             let (events, states) = (&mut self.stats.events, &mut self.stats.states);
             self.slots[slot as usize].decode.push_bytes_with(
                 bytes,
@@ -263,7 +272,6 @@ impl Shard {
             );
         }
         self.queue = queue;
-        self.slab.clear();
     }
 
     /// The live slot of `device`, if it has one.
@@ -367,11 +375,11 @@ impl Shard {
         Some(slot)
     }
 
-    /// Closes the books: decodes whatever is still queued, drops every
-    /// live session (without counting them as evictions) and returns the
-    /// final stats. The shard is empty afterwards.
-    pub(crate) fn finish(&mut self) -> ShardStats {
-        self.process_queue();
+    /// Closes the books: decodes whatever is still queued in `round`,
+    /// drops every live session (without counting them as evictions) and
+    /// returns the final stats. The shard is empty afterwards.
+    pub(crate) fn finish(&mut self, round: &[u8]) -> ShardStats {
+        self.process_queue(round);
         self.index.clear();
         self.slots.clear();
         self.links.clear();
@@ -450,10 +458,15 @@ mod tests {
     #[test]
     fn high_water_sheds_with_counter() {
         let mut shard = Shard::new(usize::MAX);
-        assert!(shard.enqueue(1, &[0xAA; 10], 2));
-        assert!(shard.enqueue(1, &[0xAA; 10], 2));
-        assert!(!shard.enqueue(1, &[0xAA; 7], 2), "third offer must shed");
-        let stats = shard.finish();
+        let mut round = Vec::new();
+        assert!(shard.enqueue(1, &[0xAA; 10], &mut round, 2));
+        assert!(shard.enqueue(1, &[0xAA; 10], &mut round, 2));
+        assert!(
+            !shard.enqueue(1, &[0xAA; 7], &mut round, 2),
+            "third offer must shed"
+        );
+        assert_eq!(round.len(), 20, "a shed chunk is not buffered");
+        let stats = shard.finish(&round);
         assert_eq!(stats.batches_in, 2);
         assert_eq!(stats.shed_batches, 1);
         assert_eq!(stats.shed_bytes, 7);
@@ -462,19 +475,21 @@ mod tests {
     #[test]
     fn lru_eviction_is_deterministic_and_folds_counters() {
         let mut shard = Shard::new(2);
+        let mut round = Vec::new();
         let mut tx7 = ArqTx::new();
         let mut tx8 = ArqTx::new();
         let mut tx9 = ArqTx::new();
-        assert!(shard.enqueue(7, &stream(&mut tx7, 3, 0), usize::MAX));
-        assert!(shard.enqueue(8, &stream(&mut tx8, 2, 0), usize::MAX));
-        shard.process_queue();
+        assert!(shard.enqueue(7, &stream(&mut tx7, 3, 0), &mut round, usize::MAX));
+        assert!(shard.enqueue(8, &stream(&mut tx8, 2, 0), &mut round, usize::MAX));
+        shard.process_queue(&round);
+        round.clear();
         assert_eq!(shard.live_sessions(), 2);
         // Touch 8 so 7 becomes the LRU victim.
-        assert!(shard.enqueue(8, &stream(&mut tx8, 1, 1), usize::MAX));
-        assert!(shard.enqueue(9, &stream(&mut tx9, 4, 0), usize::MAX));
-        shard.process_queue();
+        assert!(shard.enqueue(8, &stream(&mut tx8, 1, 1), &mut round, usize::MAX));
+        assert!(shard.enqueue(9, &stream(&mut tx9, 4, 0), &mut round, usize::MAX));
+        shard.process_queue(&round);
         assert_eq!(shard.live_sessions(), 2, "capacity bound held");
-        let stats = shard.finish();
+        let stats = shard.finish(&[]);
         assert_eq!(stats.evicted, 1, "exactly one victim (device 7)");
         assert_eq!(stats.sessions_opened, 3);
         assert_eq!(stats.records, 3 + 2 + 1 + 4, "evicted records folded in");
@@ -485,10 +500,11 @@ mod tests {
     #[test]
     fn finish_is_not_an_eviction() {
         let mut shard = Shard::new(usize::MAX);
+        let mut round = Vec::new();
         let mut tx = ArqTx::new();
-        assert!(shard.enqueue(1, &stream(&mut tx, 5, 0), usize::MAX));
-        shard.process_queue();
-        let stats = shard.finish();
+        assert!(shard.enqueue(1, &stream(&mut tx, 5, 0), &mut round, usize::MAX));
+        shard.process_queue(&round);
+        let stats = shard.finish(&[]);
         assert_eq!(stats.evicted, 0);
         assert_eq!(stats.records, 5);
         assert_eq!(stats.frames_in, 5);
@@ -568,8 +584,9 @@ mod tests {
             let before = recency_order(&shard);
             let booked = shard.books.records_ok;
             let bytes = data_frames(&mut seqs[pick], n);
-            assert!(shard.enqueue(device, &bytes, usize::MAX));
-            shard.process_queue();
+            let mut round = Vec::new();
+            assert!(shard.enqueue(device, &bytes, &mut round, usize::MAX));
+            shard.process_queue(&round);
             // A reused slot starts fresh: its receiver adopts this
             // device's next sequence number, so the batch's n in-order
             // frames book exactly n records, whoever held the slot last.
@@ -593,7 +610,7 @@ mod tests {
             assert!(shard.slots.len() <= CAPACITY, "slots are reused");
         }
         assert!(evictions > 100, "the schedule must churn: {evictions}");
-        let stats = shard.finish();
+        let stats = shard.finish(&[]);
         assert_eq!(stats.sessions_opened, opens);
         assert_eq!(stats.evicted, evictions);
         // Every record is booked exactly once, evicted session or live.

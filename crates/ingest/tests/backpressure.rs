@@ -1,7 +1,8 @@
 //! The fleet-path contracts, checked exactly:
 //!
-//! * overdriving one shard sheds with exact counters and leaves every
-//!   other shard's books untouched;
+//! * overdriving one shard, with many small chunks or a few large ones,
+//!   sheds with exact counters and leaves every other shard's books
+//!   untouched, though every shard's bytes share one round buffer;
 //! * eviction under a session-capacity bound loses no records on clean
 //!   streams — evicted-then-resumed sessions re-sync through ARQ
 //!   without duplicates;
@@ -22,14 +23,21 @@ fn clean_cohort() -> CohortLoad {
     CohortLoad::new(vec![template], DEVICES, 4)
 }
 
-/// Replays the cohort through a service; `burst` extra chunks are
-/// offered to shard 0 each round (fresh device ids, so they open
-/// sessions of their own). Returns the books plus the exact number of
-/// offers the service refused.
-fn drive(cfg: &IngestConfig, load: &CohortLoad, burst: u64, jobs: usize) -> (IngestStats, u64) {
+/// Replays the cohort through a service; `burst` extra chunks of
+/// `burst_len` junk bytes (load, not records) are offered to shard 0
+/// each round (fresh device ids, so they open sessions of their own).
+/// Returns the books plus the exact number of offers the service
+/// refused.
+fn drive(
+    cfg: &IngestConfig,
+    load: &CohortLoad,
+    burst: u64,
+    burst_len: usize,
+    jobs: usize,
+) -> (IngestStats, u64) {
     let mut svc = IngestService::new(cfg);
     let mut refused = 0u64;
-    let burst_chunk = [0xAAu8; 24]; // junk bytes: load, not records
+    let burst_chunk = vec![0xAAu8; burst_len];
     for round in 0..load.rounds() {
         load.for_round(round, |device, chunk| {
             if !svc.offer(device, chunk) {
@@ -52,7 +60,7 @@ fn drive(cfg: &IngestConfig, load: &CohortLoad, burst: u64, jobs: usize) -> (Ing
 #[test]
 fn unbounded_ingest_delivers_ground_truth_exactly() {
     let load = clean_cohort();
-    let (stats, refused) = drive(&IngestConfig::unbounded(SHARDS), &load, 0, 2);
+    let (stats, refused) = drive(&IngestConfig::unbounded(SHARDS), &load, 0, 0, 2);
     assert_eq!(refused, 0);
     assert_eq!(stats.totals.shed_batches, 0);
     assert_eq!(stats.totals.evicted, 0);
@@ -74,31 +82,40 @@ fn unbounded_ingest_delivers_ground_truth_exactly() {
 fn overdriving_one_shard_sheds_exactly_and_spares_the_rest() {
     let load = clean_cohort();
     let unbounded = IngestConfig::unbounded(SHARDS);
-    let (baseline, _) = drive(&unbounded, &load, 0, 2);
+    let (baseline, _) = drive(&unbounded, &load, 0, 0, 2);
 
     // High water sized so cohort traffic alone never sheds (at most
-    // DEVICES/SHARDS offers land on a shard per round), while the
-    // 64-chunk burst aimed at shard 0 overflows it every round.
+    // DEVICES/SHARDS offers land on a shard per round). A burst of 64
+    // small chunks aimed at shard 0 overflows it every round; a burst of
+    // four 64 KiB chunks stays under it but puts most of every round's
+    // bytes on shard 0.
     let cfg = IngestConfig {
         high_water: 16,
         ..unbounded
     };
-    let (stats, refused) = drive(&cfg, &load, 64, 2);
+    for (burst, burst_len, sheds) in [(64, 24, true), (4, 64 * 1024, false)] {
+        let (stats, refused) = drive(&cfg, &load, burst, burst_len, 2);
+        let what = format!("{burst} chunks of {burst_len} bytes");
 
-    assert!(refused > 0, "the burst must overflow the high-water mark");
-    assert_eq!(
-        stats.totals.shed_batches, refused,
-        "every refused offer is counted, none silently dropped"
-    );
-    assert_eq!(
-        stats.per_shard[0].shed_batches, refused,
-        "all shedding happened on the overdriven shard"
-    );
-    for shard in 1..SHARDS {
+        assert_eq!(refused > 0, sheds, "{what}: {refused} refused");
         assert_eq!(
-            stats.per_shard[shard], baseline.per_shard[shard],
-            "shard {shard} books must be untouched by shard 0's overload"
+            stats.totals.shed_batches, refused,
+            "{what}: every refused offer is counted, none silently dropped"
         );
+        assert_eq!(
+            stats.per_shard[0].shed_batches, refused,
+            "{what}: all shedding happened on the overdriven shard"
+        );
+        assert!(
+            stats.per_shard[0].bytes_in > baseline.per_shard[0].bytes_in,
+            "{what}: the burst must reach shard 0"
+        );
+        for shard in 1..SHARDS {
+            assert_eq!(
+                stats.per_shard[shard], baseline.per_shard[shard],
+                "{what}: shard {shard} books must be untouched by shard 0's overload"
+            );
+        }
     }
 }
 
@@ -116,7 +133,7 @@ fn eviction_resumes_sessions_without_loss_or_duplicates() {
         session_capacity: 3,
         ..IngestConfig::unbounded(SHARDS)
     };
-    let (stats, refused) = drive(&cfg, &load, 0, 2);
+    let (stats, refused) = drive(&cfg, &load, 0, 0, 2);
     assert_eq!(refused, 0);
     assert!(stats.totals.evicted > 0, "capacity 3 must evict");
     assert!(
@@ -142,9 +159,9 @@ fn every_counter_is_jobs_invariant() {
         session_capacity: 3,
         shards: SHARDS,
     };
-    let (serial, refused_serial) = drive(&cfg, &load, 64, 1);
+    let (serial, refused_serial) = drive(&cfg, &load, 64, 24, 1);
     for jobs in [2, 4, 8] {
-        let (stats, refused) = drive(&cfg, &load, 64, jobs);
+        let (stats, refused) = drive(&cfg, &load, 64, 24, jobs);
         assert_eq!(refused, refused_serial, "jobs={jobs}");
         assert_eq!(stats, serial, "jobs={jobs}");
     }

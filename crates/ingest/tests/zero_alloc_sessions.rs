@@ -4,7 +4,9 @@
 //! and decoding its captured radio stream performs **zero** heap
 //! allocations. The ARQ receiver parks out-of-order records in a fixed
 //! ring inside the session slot, so nothing behind a session grows with
-//! the traffic it sees.
+//! the traffic it sees. A round's bytes wait in one buffer the service
+//! owns, so a round with more bytes grows that one buffer, not one per
+//! shard.
 //!
 //! The same counting-allocator wrapper as `distscroll-host`'s
 //! `zero_alloc_decode` test, tallying per thread so the multi-threaded
@@ -14,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use distscroll_ingest::loadgen::{capture_template, LinkProfile, Template};
+use distscroll_ingest::loadgen::{capture_template, inorder_template, LinkProfile, Template};
 use distscroll_ingest::{IngestConfig, IngestService};
 
 thread_local! {
@@ -98,8 +100,8 @@ fn opening_and_evicting_sessions_at_the_bound_allocates_nothing() {
     });
 
     // Warm-up: one pass over every chunk fills the slot table to its
-    // bound and grows the shard's queue, byte slab and device index to
-    // the most this schedule needs.
+    // bound and grows the shard's queue, the round buffer and the device
+    // index to the most this schedule needs.
     for round in 0..rounds {
         play_round(&mut svc, &templates, round);
     }
@@ -132,5 +134,44 @@ fn opening_and_evicting_sessions_at_the_bound_allocates_nothing() {
     assert_eq!(
         allocated, 0,
         "sessions opened and evicted at the bound must not allocate"
+    );
+}
+
+#[test]
+fn a_longer_round_grows_one_buffer_not_one_per_shard() {
+    const SHARDS: usize = 8;
+    const DEVICES: u64 = 4 * SHARDS as u64;
+    // Three equal in-order chunks per device: the warm-up round sends
+    // the first, the measured round the other two back to back, so every
+    // measured chunk is twice as long and continues its stream in order.
+    let template = inorder_template(3, 4);
+    let [first, second, third] = &template.rounds[..] else {
+        panic!("three rounds");
+    };
+    assert_eq!(second.len(), first.len());
+    assert_eq!(third.len(), first.len());
+    let doubled = [second.as_slice(), third.as_slice()].concat();
+    let mut svc = IngestService::new(&IngestConfig::unbounded(SHARDS));
+
+    // Warm-up: opens every session and grows every queue to the
+    // per-shard batch count, which the measured round repeats.
+    for device in 0..DEVICES {
+        assert!(svc.offer(device, first));
+    }
+    svc.process_round(1);
+
+    let before = allocations_on_this_thread();
+    for device in 0..DEVICES {
+        assert!(svc.offer(device, &doubled));
+    }
+    svc.process_round(1);
+    let allocated = allocations_on_this_thread() - before;
+
+    let stats = svc.finish().totals;
+    assert_eq!(stats.records, DEVICES * template.records);
+    assert_eq!(stats.sessions_opened, DEVICES);
+    assert!(
+        allocated <= 1,
+        "{allocated} allocation calls: twice the round's bytes must grow one buffer at most once"
     );
 }

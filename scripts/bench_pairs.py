@@ -19,6 +19,18 @@ median [Q1, Q3] over the pairs and the number of pairs the change won
 printed, which must agree when the change is meant to keep results
 unchanged. --seconds defaults to BENCHMARK.json's run_seconds.
 
+Each metric also gets one verdict, judged against the metric's `bound`
+in BENCHMARK.json (a fraction of the parent's median):
+  gain               the change won at least 9 in 10 pairs and the
+                     medians differ by more than the parent's IQR;
+  unresolved         the parent's IQR is wider than the bound, so the
+                     runs cannot tell (unless every change run beats
+                     every parent run);
+  WORSE beyond bound the change's median is worse than the parent's by
+                     more than the bound;
+  within bound       otherwise.
+The verdicts do not change the exit status.
+
 --workload takes any workload perfbench/run.py knows. One that
 BENCHMARK.json does not list (fleet_churn) may fail its correctness
 gate on both sides: its runs still count towards the metrics, and the
@@ -114,6 +126,22 @@ def spread(values):
     return med, q1, q3
 
 
+def verdict(parent, change, higher, bound):
+    """One metric's verdict over paired runs; see the module docs."""
+    pm, pq1, pq3 = spread(parent)
+    cm = spread(change)[0]
+    better = (lambda a, b: a > b) if higher else (lambda a, b: a < b)
+    wins = sum(better(c, p) for p, c in zip(parent, change))
+    iqr = pq3 - pq1
+    if 10 * wins >= 9 * len(parent) and better(cm, pm) and abs(cm - pm) > iqr:
+        return "gain"
+    if iqr > bound * abs(pm) and not all(better(c, p) for p in parent for c in change):
+        return "unresolved"
+    if better(pm, cm) and abs(cm - pm) > bound * abs(pm):
+        return "WORSE beyond bound"
+    return "within bound"
+
+
 def main():
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
@@ -184,6 +212,8 @@ def main():
                   f"x{cm / pm:.3f}  change wins {wins}/{len(pairs)}  ({metric['unit']})")
             print(f"  {'':<16} parent runs {' '.join(f'{v:.6g}' for v in parent)}")
             print(f"  {'':<16} change runs {' '.join(f'{v:.6g}' for v in change)}")
+            print(f"  {'':<16} verdict: {verdict(parent, change, higher, metric['bound'])}"
+                  f" (bound {metric['bound']:g})")
         same = digests["parent"] == digests["change"]
         print(f"  digests parent {sorted(digests['parent'])} change "
               f"{sorted(digests['change'])} ({'match' if same else 'DIFFER'})")
