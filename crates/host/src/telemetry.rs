@@ -12,8 +12,8 @@
 //! ~10 ms, so 16 bits wrap after ~11 minutes — ordinary telemetry rates
 //! see a record far more often than that).
 
-use distscroll_hw::arq::{self, LinkQuality, RxBooks, RxState};
-use distscroll_hw::link::{FrameBooks, FrameCarry};
+use distscroll_hw::arq::{self, LinkQuality, RingStore, RxBooks, RxState};
+use distscroll_hw::link::{CarryStore, FrameBooks, FrameCarry};
 
 /// Half the 16-bit stamp space: the serial-number-arithmetic horizon.
 const STAMP_HALF: u16 = 0x8000;
@@ -268,19 +268,43 @@ pub struct DecodeBooks {
     pub records_bad: u64,
 }
 
-/// The decode state of one radio stream, without its counters: the
-/// frame decoder's carry and, when the stream carries the ARQ
-/// transport, the receiver with its parked ring.
+/// The pooled part of many streams' decode state: the frame attempts
+/// their carries hold across pushes and the records their ARQ receivers
+/// park.
 ///
-/// The receiver parks records already parsed (`Option<Record>`, `None`
-/// for a payload that failed to parse and is counted bad when its turn
-/// comes), so a duplicate or beyond-window frame is never parsed. The
-/// state owns no heap memory until a frame splits across two pushes and
-/// the frame decoder's carry takes the unfinished attempt.
-#[derive(Debug, Clone, Default)]
+/// A stream takes an entry of either store only while it has a split
+/// frame or a sequence gap, and gives it back when the frame completes
+/// or the gap fills, so the stores hold what the streams have in flight,
+/// not one slot per stream.
+#[derive(Debug, Default)]
+pub struct DecodeStores {
+    /// Frame attempts split across pushes.
+    pub carries: CarryStore,
+    /// Parked rings. A receiver parks records already parsed
+    /// (`Option<Record>`, `None` for a payload that failed to parse and
+    /// is counted bad when its turn comes), so a duplicate or
+    /// beyond-window frame is never parsed.
+    pub rings: RingStore<Option<Record>>,
+}
+
+impl DecodeStores {
+    /// Entries of both stores taken by a stream and not yet given back.
+    pub fn in_use(&self) -> usize {
+        self.carries.in_use() + self.rings.in_use()
+    }
+}
+
+/// The decode state of one radio stream, without its counters or its
+/// pooled bytes: the frame decoder's carry handle and, when the stream
+/// carries the ARQ transport, the receiver's sequence state and ring
+/// handle. Both handles point into the [`DecodeStores`] every call takes,
+/// so the state is 12 bytes and owns no memory of its own. A state must
+/// always be used with the same stores, and [`DecodeState::release`]
+/// gives its entries back when the stream is retired.
+#[derive(Debug, Default)]
 pub struct DecodeState {
     frames: FrameCarry,
-    arq: Option<RxState<Option<Record>>>,
+    arq: Option<RxState>,
 }
 
 impl DecodeState {
@@ -294,26 +318,39 @@ impl DecodeState {
         }
     }
 
+    /// Gives the stream's carry and ring back to `stores`, dropping a
+    /// split frame or parked records they still hold: call it when the
+    /// stream is retired.
+    pub fn release(&mut self, stores: &mut DecodeStores) {
+        self.frames.release(&mut stores.carries);
+        if let Some(rx) = &mut self.arq {
+            rx.release(&mut stores.rings);
+        }
+    }
+
     /// Pushes received bytes, booking every counter the decode moves in
     /// `books` and visiting each completed record in order: frame scan,
     /// then ARQ receive, then [`parse_record`]. This is the one decode
-    /// path; it allocates nothing ([`Record`] is `Copy`; frame payloads
-    /// are borrowed from the pushed bytes or the frame decoder's carry).
-    /// Malformed or CRC-failed frames are counted and skipped.
+    /// path; it allocates nothing once `stores` have grown to the most
+    /// split frames and gaps held at once ([`Record`] is `Copy`; frame
+    /// payloads are borrowed from the pushed bytes or a split frame's
+    /// join). Malformed or CRC-failed frames are counted and skipped.
     pub fn push_bytes_with<F: FnMut(Record)>(
         &mut self,
         bytes: &[u8],
+        stores: &mut DecodeStores,
         books: &mut DecodeBooks,
         mut sink: F,
     ) {
         let arq = &mut self.arq;
+        let DecodeStores { carries, rings } = stores;
         let DecodeBooks {
             frames,
             rx,
             records_ok,
             records_bad,
         } = books;
-        self.frames.push_with(bytes, frames, |frame| {
+        self.frames.push_with(bytes, carries, frames, |frame| {
             // A failed frame is already booked by the scan.
             let Ok(payload) = frame else {
                 return;
@@ -328,7 +365,7 @@ impl DecodeState {
             match arq.as_mut() {
                 Some(state) => match arq::decode_data(payload) {
                     Some((seq, inner)) => {
-                        state.on_data(seq, rx, || parse_record(inner).ok(), book);
+                        state.on_data(seq, rings, rx, || parse_record(inner).ok(), book);
                     }
                     None => book(None),
                 },
@@ -348,12 +385,14 @@ impl DecodeState {
 /// acknowledgement to send back to the device.
 ///
 /// A decoder is one stream's [`DecodeState`] with its own
-/// [`DecodeBooks`], and pushes through the same
+/// [`DecodeStores`] and [`DecodeBooks`], and pushes through the same
 /// [`DecodeState::push_bytes_with`] a fleet shard runs with its shared
-/// books.
-#[derive(Debug, Clone, Default)]
+/// stores and books. The ring store keeps its first ring inline, so a
+/// fresh decoder parks out-of-order records without allocating.
+#[derive(Debug, Default)]
 pub struct StreamDecoder {
     state: DecodeState,
+    stores: DecodeStores,
     books: DecodeBooks,
 }
 
@@ -371,7 +410,7 @@ impl StreamDecoder {
                 arq: Some(RxState::new()),
                 ..DecodeState::default()
             },
-            books: DecodeBooks::default(),
+            ..StreamDecoder::default()
         }
     }
 
@@ -384,7 +423,7 @@ impl StreamDecoder {
     pub fn with_arq_resync() -> Self {
         StreamDecoder {
             state: DecodeState::with_arq_resync(),
-            books: DecodeBooks::default(),
+            ..StreamDecoder::default()
         }
     }
 
@@ -399,7 +438,8 @@ impl StreamDecoder {
     /// the zero-allocation decode of [`DecodeState::push_bytes_with`],
     /// booked in this decoder's own books.
     pub fn push_bytes_with<F: FnMut(Record)>(&mut self, bytes: &[u8], sink: F) {
-        self.state.push_bytes_with(bytes, &mut self.books, sink);
+        self.state
+            .push_bytes_with(bytes, &mut self.stores, &mut self.books, sink);
     }
 
     /// Pushes received bytes; returns the records completed by them.
@@ -414,7 +454,8 @@ impl StreamDecoder {
     /// The acknowledgement payload to frame and send back to the device,
     /// when the decoder terminates the ARQ transport.
     pub fn ack_payload(&self) -> Option<[u8; arq::ACK_LEN]> {
-        self.state.arq.as_ref().map(RxState::ack_payload)
+        let rings = &self.stores.rings;
+        self.state.arq.as_ref().map(|rx| rx.ack_payload(rings))
     }
 
     /// Receive-side link-quality counters, when the decoder terminates
@@ -456,7 +497,7 @@ impl StreamDecoder {
         (
             self.books.frames.bytes_skipped,
             self.books.frames.bytes_accepted,
-            self.state.frames.pending_bytes(),
+            self.state.frames.pending_bytes(&self.stores.carries),
         )
     }
 }

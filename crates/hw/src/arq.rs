@@ -441,13 +441,15 @@ impl ArqTx {
 /// that builds the value only for a frame that is delivered or parked,
 /// so duplicates and beyond-window frames are never parsed or copied.
 ///
-/// An `ArqRx` is an [`RxState`] (the sequence state and parked ring)
-/// and the [`RxBooks`] it books into. A caller that keeps many
-/// receivers' counters in one place holds the states alone and passes
-/// its own books to [`RxState::on_data`], which is the one receive path.
-#[derive(Debug, Clone)]
+/// An `ArqRx` is an [`RxState`] (the sequence state and a handle to a
+/// parked ring), the [`RingStore`] the ring lives in and the [`RxBooks`]
+/// it books into. A caller that keeps many receivers in one place holds
+/// the states alone and passes its own store and books to
+/// [`RxState::on_data`], which is the one receive path.
+#[derive(Debug)]
 pub struct ArqRx<T> {
-    state: RxState<T>,
+    state: RxState,
+    rings: RingStore<T>,
     books: RxBooks,
 }
 
@@ -490,27 +492,61 @@ enum SyncState {
     Resynced,
 }
 
+/// The handle of no ring: the receiver has nothing parked.
+const NO_RING: u32 = u32::MAX;
+
+/// One receiver's parked records: slot `seq % WINDOW` holds the record
+/// parked under `seq`.
+type Ring<T> = [Option<T>; WINDOW as usize];
+
 /// The state of an ARQ receiver, without its counters: the next
-/// expected sequence number, the parked ring and how the first frame is
-/// judged.
+/// expected sequence number, how the first frame is judged, and the
+/// handle of the ring its out-of-order records wait in.
 ///
-/// Out-of-order records wait in a fixed ring of [`WINDOW`] slots inside
-/// the state, indexed by `seq % WINDOW`. Parked sequence numbers always
-/// lie in `expected + 1 ..= expected + WINDOW`, eight consecutive
-/// numbers, so no two share a slot (and 2^16 is a multiple of
-/// `WINDOW`, so the index survives the wrap): an occupied slot *is* the
-/// duplicate check, and release walks the ring from `expected`. A
-/// receiver therefore owns no heap memory of its own whatever arrives.
-/// Parking the host's 8-byte `Option<Record>`, the state is 68 bytes.
-#[derive(Debug, Clone)]
-pub struct RxState<T> {
+/// Out-of-order records wait in a ring of [`WINDOW`] slots, indexed by
+/// `seq % WINDOW`. Parked sequence numbers always lie in
+/// `expected + 1 ..= expected + WINDOW`, eight consecutive numbers, so
+/// no two share a slot (and 2^16 is a multiple of `WINDOW`, so the index
+/// survives the wrap): an occupied slot *is* the duplicate check, and
+/// release walks the ring from `expected`. The ring is an entry of a
+/// [`RingStore`] that the caller owns and passes to every call: the
+/// receiver takes one when a frame first parks and gives it back the
+/// moment its last parked record is released, so an in-order stream
+/// never touches the store, and whether anything is parked is a handle
+/// check. The state itself is 8 bytes, whatever it parks.
+///
+/// A state must always be used with the store its ring came from, and
+/// [`RxState::release`] gives the ring back when the receiver is
+/// dropped; a state dropped while it parks leaves its entry taken.
+#[derive(Debug)]
+pub struct RxState {
     /// Next sequence number to release.
     expected: Seq16,
     /// How the next frame is judged; see [`SyncState`].
     sync: SyncState,
-    /// Slot `seq % WINDOW` holds the record parked under `seq`, for the
-    /// `seq`s within [`WINDOW`] past `expected`.
-    parked: [Option<T>; WINDOW as usize],
+    /// The receiver's entry in its [`RingStore`], or [`NO_RING`] while
+    /// nothing is parked.
+    ring: u32,
+}
+
+/// Parked rings for any number of [`RxState`]s, reused through a free
+/// list.
+///
+/// Entry 0 lives inline, so one receiver parks without allocating;
+/// further entries grow a table once and are recycled from then on. A
+/// released entry is cleared (its parked records dropped) before it goes
+/// back on the free list, so the next receiver to take it starts empty.
+#[derive(Debug)]
+pub struct RingStore<T> {
+    /// Entry 0.
+    first: Ring<T>,
+    /// Whether entry 0 is free.
+    first_free: bool,
+    /// Entries 1.., as `more[handle - 1]`.
+    more: Vec<Ring<T>>,
+    /// Free entries of `more`. Its capacity keeps up with `more`, so a
+    /// release never allocates.
+    free: Vec<u32>,
 }
 
 impl<T> Default for ArqRx<T> {
@@ -519,9 +555,15 @@ impl<T> Default for ArqRx<T> {
     }
 }
 
-impl<T> Default for RxState<T> {
+impl Default for RxState {
     fn default() -> Self {
         RxState::new()
+    }
+}
+
+impl<T> Default for RingStore<T> {
+    fn default() -> Self {
+        RingStore::new()
     }
 }
 
@@ -530,13 +572,69 @@ fn ring_slot(seq: Seq16) -> usize {
     usize::from(seq.0 % WINDOW)
 }
 
-impl<T> RxState<T> {
+impl<T> RingStore<T> {
+    /// A store with every entry free and nothing allocated.
+    pub fn new() -> Self {
+        RingStore {
+            first: [const { None }; WINDOW as usize],
+            first_free: true,
+            more: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Entries taken by a receiver and not yet given back.
+    pub fn in_use(&self) -> usize {
+        usize::from(!self.first_free) + self.more.len() - self.free.len()
+    }
+
+    /// Takes a free, empty entry, growing the table if none is free.
+    fn take(&mut self) -> u32 {
+        if self.first_free {
+            self.first_free = false;
+            return 0;
+        }
+        if let Some(handle) = self.free.pop() {
+            return handle;
+        }
+        self.more.push([const { None }; WINDOW as usize]);
+        self.free.reserve(self.more.len() - self.free.len());
+        let handle = self.more.len();
+        assert!(handle < NO_RING as usize, "ring handles run out at NO_RING");
+        handle as u32
+    }
+
+    fn ring(&self, handle: u32) -> &Ring<T> {
+        match handle {
+            0 => &self.first,
+            h => &self.more[h as usize - 1],
+        }
+    }
+
+    fn ring_mut(&mut self, handle: u32) -> &mut Ring<T> {
+        match handle {
+            0 => &mut self.first,
+            h => &mut self.more[h as usize - 1],
+        }
+    }
+
+    /// Clears entry `handle` and puts it back on the free list.
+    fn give_back(&mut self, handle: u32) {
+        self.ring_mut(handle).fill_with(|| None);
+        match handle {
+            0 => self.first_free = true,
+            h => self.free.push(h),
+        }
+    }
+}
+
+impl RxState {
     /// A receiver expecting a fresh transmitter's first frame.
     pub fn new() -> Self {
         RxState {
             expected: Seq16::ZERO,
             sync: SyncState::Locked,
-            parked: [const { None }; WINDOW as usize],
+            ring: NO_RING,
         }
     }
 
@@ -565,7 +663,7 @@ impl<T> RxState<T> {
 
     /// Accepts one data frame's sequence number, booking what happened
     /// to it in `books`; `make` builds the value its inner record stands
-    /// for.
+    /// for, and `rings` is the store this receiver parks in.
     ///
     /// In-order records (and any parked records they unblock) are handed
     /// to `deliver` immediately; future records within the reorder
@@ -573,9 +671,10 @@ impl<T> RxState<T> {
     /// beyond the window are ignored — never acked, the transmitter
     /// resends them once the window has moved. `make` runs only for a
     /// record that is delivered or parked.
-    pub fn on_data(
+    pub fn on_data<T>(
         &mut self,
         seq: Seq16,
+        rings: &mut RingStore<T>,
         books: &mut RxBooks,
         make: impl FnOnce() -> T,
         mut deliver: impl FnMut(T),
@@ -599,11 +698,19 @@ impl<T> RxState<T> {
             deliver(make());
             books.delivered += 1;
             self.expected = self.expected.next();
+            if self.ring == NO_RING {
+                return;
+            }
             // Release the records the filled gap unblocks.
-            while let Some(rec) = self.parked[ring_slot(self.expected)].take() {
+            let ring = rings.ring_mut(self.ring);
+            while let Some(rec) = ring[ring_slot(self.expected)].take() {
                 deliver(rec);
                 books.delivered += 1;
                 self.expected = self.expected.next();
+            }
+            if ring.iter().all(Option::is_none) {
+                rings.give_back(self.ring);
+                self.ring = NO_RING;
             }
             return;
         }
@@ -611,28 +718,44 @@ impl<T> RxState<T> {
         if ahead > WINDOW {
             return;
         }
-        match &mut self.parked[ring_slot(seq)] {
+        if self.ring == NO_RING {
+            self.ring = rings.take();
+        }
+        match &mut rings.ring_mut(self.ring)[ring_slot(seq)] {
             Some(_) => books.duplicates += 1,
             slot => *slot = Some(make()),
         }
     }
 
+    /// Gives the receiver's ring back to `rings`, dropping whatever it
+    /// still parks: call it when the receiver is retired. The receiver
+    /// parks nothing afterwards.
+    pub fn release<T>(&mut self, rings: &mut RingStore<T>) {
+        if self.ring != NO_RING {
+            rings.give_back(self.ring);
+            self.ring = NO_RING;
+        }
+    }
+
     /// The acknowledgement payload describing everything received so
     /// far: cumulative ack of the last in-order record, plus a bitmap of
-    /// parked records ahead of the gap (bit `k - 1` for
+    /// records parked in `rings` ahead of the gap (bit `k - 1` for
     /// `expected + k`).
     #[expect(
         clippy::disallowed_methods,
         reason = "wire encoding: the raw value is the ack's two bytes"
     )]
-    pub fn ack_payload(&self) -> [u8; ACK_LEN] {
+    pub fn ack_payload<T>(&self, rings: &RingStore<T>) -> [u8; ACK_LEN] {
         let cum = Seq16::from_raw(self.expected.raw().wrapping_sub(1));
         let mut bitmap = 0u8;
-        let mut seq = self.expected;
-        for bit in 0..WINDOW {
-            seq = seq.next();
-            if self.parked[ring_slot(seq)].is_some() {
-                bitmap |= 1 << bit;
+        if self.ring != NO_RING {
+            let ring = rings.ring(self.ring);
+            let mut seq = self.expected;
+            for bit in 0..WINDOW {
+                seq = seq.next();
+                if ring[ring_slot(seq)].is_some() {
+                    bitmap |= 1 << bit;
+                }
             }
         }
         [
@@ -649,6 +772,7 @@ impl<T> ArqRx<T> {
     pub fn new() -> Self {
         ArqRx {
             state: RxState::new(),
+            rings: RingStore::new(),
             books: RxBooks::default(),
         }
     }
@@ -658,7 +782,7 @@ impl<T> ArqRx<T> {
     pub fn new_resync() -> Self {
         ArqRx {
             state: RxState::new_resync(),
-            books: RxBooks::default(),
+            ..ArqRx::new()
         }
     }
 
@@ -679,13 +803,14 @@ impl<T> ArqRx<T> {
     /// Accepts one data frame's sequence number; `make` builds the value
     /// its inner record stands for (see [`RxState::on_data`]).
     pub fn on_data(&mut self, seq: Seq16, make: impl FnOnce() -> T, deliver: impl FnMut(T)) {
-        self.state.on_data(seq, &mut self.books, make, deliver);
+        self.state
+            .on_data(seq, &mut self.rings, &mut self.books, make, deliver);
     }
 
     /// The acknowledgement payload describing everything received so
     /// far (see [`RxState::ack_payload`]).
     pub fn ack_payload(&self) -> [u8; ACK_LEN] {
-        self.state.ack_payload()
+        self.state.ack_payload(&self.rings)
     }
 }
 

@@ -187,13 +187,15 @@ const MAX_FRAME: usize = MAX_PAYLOAD + 5;
 /// scan resumes two bytes in. Only an attempt split across two pushes is
 /// copied, into a carry of at most `MAX_FRAME - 1` bytes.
 ///
-/// The decoder is a [`FrameCarry`] (its state) and the [`FrameBooks`]
-/// it books into. A caller that keeps many streams' books in one place
-/// holds the carries alone and passes its own books to
-/// [`FrameCarry::push_with`], the same scan this type runs.
-#[derive(Debug, Clone, Default)]
+/// The decoder is a [`FrameCarry`] (its state), the [`CarryStore`] its
+/// carried bytes live in and the [`FrameBooks`] it books into. A caller
+/// that keeps many streams in one place holds the carries alone and
+/// passes its own store and books to [`FrameCarry::push_with`], the same
+/// scan this type runs.
+#[derive(Debug, Default)]
 pub struct FrameDecoder {
     carry: FrameCarry,
+    carries: CarryStore,
     books: FrameBooks,
 }
 
@@ -213,55 +215,163 @@ pub struct FrameBooks {
     pub bytes_accepted: u64,
 }
 
-/// The state of a frame decoder, without its counters: the undecided
-/// tail of the stream so far, a lone `SYNC1` or a sync pair and the
-/// part of its frame that has arrived. It owns no heap memory until a
-/// frame splits across two pushes.
-#[derive(Debug, Clone, Default)]
+/// Most bytes a carry holds between pushes: an undecided attempt is
+/// shorter than the longest frame.
+const CARRY_MAX: usize = MAX_FRAME - 1;
+
+/// The handle of no carry: nothing is held back.
+const NO_CARRY: u32 = u32::MAX;
+
+/// The state of a frame decoder, without its counters: the handle of
+/// the entry that holds the undecided tail of the stream so far (a lone
+/// `SYNC1`, or a sync pair and the part of its frame that has arrived).
+///
+/// The entry belongs to a [`CarryStore`] that the caller owns and passes
+/// to every call. The carry takes one only when a push ends inside a
+/// frame attempt and gives it back as soon as a later push decides the
+/// attempt, so the state is a 4-byte handle and a stream whose pushes
+/// end on frame boundaries never touches the store. A carry must always
+/// be used with the store its entry came from; [`FrameCarry::release`]
+/// gives the entry back when the stream is dropped.
+#[derive(Debug)]
 pub struct FrameCarry {
-    held: Vec<u8>,
+    /// The carry's entry in its [`CarryStore`], or [`NO_CARRY`].
+    held: u32,
+}
+
+/// One carried attempt: its first `len` bytes are held.
+#[derive(Debug)]
+struct Held {
+    len: u16,
+    bytes: [u8; CARRY_MAX],
+}
+
+/// Carried frame attempts for any number of [`FrameCarry`]s, each at
+/// most `MAX_FRAME - 1` bytes, reused through a free list: the table
+/// grows to the most attempts ever held at once and stops allocating.
+#[derive(Debug, Default)]
+pub struct CarryStore {
+    held: Vec<Held>,
+    /// Free entries of `held`. Its capacity keeps up with `held`, so a
+    /// release never allocates.
+    free: Vec<u32>,
+}
+
+impl CarryStore {
+    /// Entries taken by a carry and not yet given back.
+    pub fn in_use(&self) -> usize {
+        self.held.len() - self.free.len()
+    }
+
+    /// Takes an entry holding `bytes`, at most [`CARRY_MAX`] of them.
+    fn take(&mut self, bytes: &[u8]) -> u32 {
+        let handle = match self.free.pop() {
+            Some(handle) => handle,
+            None => {
+                let handle = self.held.len();
+                assert!(
+                    handle < NO_CARRY as usize,
+                    "carry handles run out at NO_CARRY"
+                );
+                self.held.push(Held {
+                    len: 0,
+                    bytes: [0; CARRY_MAX],
+                });
+                self.free.reserve(self.held.len() - self.free.len());
+                handle as u32
+            }
+        };
+        self.set(handle, bytes);
+        handle
+    }
+
+    /// Overwrites entry `handle` with `bytes`, at most [`CARRY_MAX`].
+    fn set(&mut self, handle: u32, bytes: &[u8]) {
+        let held = &mut self.held[handle as usize];
+        held.bytes[..bytes.len()].copy_from_slice(bytes);
+        // At most `CARRY_MAX`, which fits a `u16`.
+        held.len = bytes.len() as u16;
+    }
+
+    fn bytes(&self, handle: u32) -> &[u8] {
+        let held = &self.held[handle as usize];
+        &held.bytes[..usize::from(held.len)]
+    }
+
+    /// Empties entry `handle` and puts it back on the free list.
+    fn give_back(&mut self, handle: u32) {
+        self.held[handle as usize].len = 0;
+        self.free.push(handle);
+    }
+}
+
+impl Default for FrameCarry {
+    fn default() -> Self {
+        FrameCarry { held: NO_CARRY }
+    }
 }
 
 impl FrameCarry {
-    /// Bytes held back: the frame attempt still waiting for its tail.
-    pub fn pending_bytes(&self) -> u64 {
-        self.held.len() as u64
+    /// Bytes held back in `carries`: the frame attempt still waiting for
+    /// its tail.
+    pub fn pending_bytes(&self, carries: &CarryStore) -> u64 {
+        match self.held {
+            NO_CARRY => 0,
+            h => carries.bytes(h).len() as u64,
+        }
+    }
+
+    /// Gives the carry's entry back to `carries`, dropping the attempt it
+    /// holds: call it when the stream is retired.
+    pub fn release(&mut self, carries: &mut CarryStore) {
+        if self.held != NO_CARRY {
+            carries.give_back(self.held);
+            self.held = NO_CARRY;
+        }
     }
 
     /// Pushes received bytes, booking every decision into `books` and
     /// visiting every frame they complete in stream order: `Ok(payload)`
-    /// for a valid CRC, `Err(_)` for a failed one.
+    /// for a valid CRC, `Err(_)` for a failed one. An attempt the push
+    /// leaves undecided waits in `carries`.
     ///
     /// Payloads are lent from `bytes` (or, for a frame split across
-    /// pushes, from the carry), so decoding a warm stream performs no
-    /// heap allocation. How the stream is split into pushes changes
-    /// nothing: the frames and counters are those of one push of the
-    /// whole stream.
+    /// pushes, from a copy on the stack), so decoding performs no heap
+    /// allocation once `carries` has grown to the most attempts held at
+    /// once. How the stream is split into pushes changes nothing: the
+    /// frames and counters are those of one push of the whole stream.
     pub fn push_with<F: FnMut(Result<&[u8], HwError>)>(
         &mut self,
         mut bytes: &[u8],
+        carries: &mut CarryStore,
         books: &mut FrameBooks,
         mut sink: F,
     ) {
-        if !self.held.is_empty() {
+        if self.held != NO_CARRY {
             // Every attempt that starts inside the carry is decided by at
-            // most `MAX_FRAME - 1` more bytes, so top it up by that much
-            // and resume the input where the carry's decisions end.
-            let held = self.held.len();
-            self.held
-                .extend_from_slice(&bytes[..bytes.len().min(MAX_FRAME - 1)]);
-            let stop = scan(&self.held, books, &mut sink);
+            // most `CARRY_MAX` more bytes, so join that much to it and
+            // resume the input where the join's decisions end.
+            let carried = carries.bytes(self.held);
+            let held = carried.len();
+            let top = bytes.len().min(CARRY_MAX);
+            let mut buf = [0u8; 2 * CARRY_MAX];
+            buf[..held].copy_from_slice(carried);
+            buf[held..held + top].copy_from_slice(&bytes[..top]);
+            let joined = &buf[..held + top];
+            let stop = scan(joined, books, &mut sink);
             if stop < held {
                 // Still undecided, so the input was short and all of it
-                // is in the carry already.
-                self.held.drain(..stop);
+                // is in the join already.
+                carries.set(self.held, &joined[stop..]);
                 return;
             }
-            self.held.clear();
+            self.release(carries);
             bytes = &bytes[stop - held..];
         }
         let stop = scan(bytes, books, &mut sink);
-        self.held.extend_from_slice(&bytes[stop..]);
+        if stop < bytes.len() {
+            self.held = carries.take(&bytes[stop..]);
+        }
     }
 }
 
@@ -301,13 +411,14 @@ impl FrameDecoder {
     /// The fuzz harness asserts this conservation law against a reference
     /// decoder after every input.
     pub fn pending_bytes(&self) -> u64 {
-        self.carry.pending_bytes()
+        self.carry.pending_bytes(&self.carries)
     }
 
     /// Pushes received bytes, visiting every frame they complete in
     /// stream order (see [`FrameCarry::push_with`]).
     pub fn push_with<F: FnMut(Result<&[u8], HwError>)>(&mut self, bytes: &[u8], sink: F) {
-        self.carry.push_with(bytes, &mut self.books, sink);
+        self.carry
+            .push_with(bytes, &mut self.carries, &mut self.books, sink);
     }
 
     /// Pushes a whole received burst, collecting completed frames and

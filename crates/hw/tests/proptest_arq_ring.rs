@@ -10,8 +10,16 @@
 //! frame they must agree on the records delivered (which copy, in which
 //! order), on the three receive counters, on `resynced()` and on
 //! `ack_payload()`.
+//!
+//! Several [`RxState`]s interleaved over one shared [`RingStore`] must
+//! each agree with a reference of their own in the same way: a ring
+//! taken, released and taken again by another receiver carries nothing
+//! across, and every ring is back in the store once each receiver is
+//! released.
 
-use distscroll_hw::arq::{decode_data, ArqRx, LinkQuality, Seq16, ACK_TAG, WINDOW};
+use distscroll_hw::arq::{
+    decode_data, ArqRx, LinkQuality, RingStore, RxBooks, RxState, Seq16, ACK_TAG, WINDOW,
+};
 use proptest::prelude::*;
 
 /// The sequence number with wire value `raw`, as the decoder yields it.
@@ -160,8 +168,115 @@ fn arrivals(resync: bool, base: u16, ops: &[(u8, u16)]) -> Vec<u16> {
     out
 }
 
+/// One receiver of [`run_shared`]: its state and books, its reference
+/// and what each delivered.
+struct Shared {
+    state: RxState,
+    books: RxBooks,
+    reference: VecRx,
+    got: Vec<Vec<u8>>,
+    want: Vec<Vec<u8>>,
+}
+
+/// Feeds each receiver its own `arrivals`, interleaved in the order
+/// `turns` names them (a receiver whose arrivals are used up is
+/// skipped), with every receiver parking in one shared store; checks
+/// each against its own reference after every frame. A turn that also
+/// says `retire` first releases the receiver and replaces it, and its
+/// reference, with a fresh one, whose ring may be one another receiver
+/// gave back with records still parked.
+fn run_shared(receivers: &[(bool, Vec<u16>)], turns: &[(usize, bool)]) {
+    let mut rings: RingStore<Vec<u8>> = RingStore::new();
+    let mut rx: Vec<Shared> = receivers
+        .iter()
+        .map(|&(resync, _)| Shared {
+            state: if resync {
+                RxState::new_resync()
+            } else {
+                RxState::new()
+            },
+            books: RxBooks::default(),
+            reference: VecRx::new(resync),
+            got: Vec::new(),
+            want: Vec::new(),
+        })
+        .collect();
+    let mut next = vec![0; receivers.len()];
+    for (k, &(turn, retire)) in turns.iter().enumerate() {
+        let r = turn % receivers.len();
+        let Some(&s) = receivers[r].1.get(next[r]) else {
+            continue;
+        };
+        next[r] += 1;
+        // The record names its receiver and frame.
+        let inner = [r as u8, (k >> 8) as u8, k as u8];
+        let one = &mut rx[r];
+        if retire {
+            let resync = receivers[r].0;
+            one.state.release(&mut rings);
+            one.state = if resync {
+                RxState::new_resync()
+            } else {
+                RxState::new()
+            };
+            one.books = RxBooks::default();
+            one.reference = VecRx::new(resync);
+        }
+        let got = &mut one.got;
+        one.state.on_data(
+            seq(s),
+            &mut rings,
+            &mut one.books,
+            || inner.to_vec(),
+            |rec| got.push(rec),
+        );
+        let want = &mut one.want;
+        one.reference
+            .on_data(seq(s), &inner, &mut |rec| want.push(rec));
+        assert_eq!(one.got, one.want, "receiver {r}: deliveries after turn {k}");
+        assert_eq!(
+            one.books.quality(),
+            one.reference.quality,
+            "receiver {r}: counters after turn {k}"
+        );
+        assert_eq!(one.state.resynced(), one.reference.resynced);
+        assert_eq!(
+            one.state.ack_payload(&rings),
+            one.reference.ack_payload(),
+            "receiver {r}: ack after turn {k} (seq {s})"
+        );
+        let parking = rx.iter().filter(|x| !x.reference.parked.is_empty()).count();
+        assert_eq!(rings.in_use(), parking, "a ring per receiver with a gap");
+    }
+    for one in &mut rx {
+        one.state.release(&mut rings);
+    }
+    assert_eq!(rings.in_use(), 0, "every ring is back");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn receivers_sharing_one_store_match_their_vec_receivers(
+        receivers in proptest::collection::vec(
+            (
+                any::<bool>(),
+                any::<u16>(),
+                proptest::collection::vec((0u8..8, any::<u16>()), 0..120),
+            ),
+            1..5,
+        ),
+        turns in proptest::collection::vec((0usize..4, 0u8..20), 0..400),
+    ) {
+        // One turn in twenty retires its receiver first.
+        let turns: Vec<(usize, bool)> = turns.iter().map(|&(r, x)| (r, x == 0)).collect();
+        let receivers: Vec<(bool, Vec<u16>)> = receivers
+            .iter()
+            .map(|(resync, base, ops)| (*resync, arrivals(*resync, *base, ops)))
+            .collect();
+        run_shared(&receivers, &turns);
+    }
 
     #[test]
     fn ring_receiver_matches_the_vec_receiver(

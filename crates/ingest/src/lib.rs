@@ -58,20 +58,26 @@
 //!   ROADMAP's eviction-fix item, "a benchmark PR that carries the
 //!   eviction fix"); perfbench's `churn_gate_catches_double_delivery`
 //!   pins it.
-//! * **Heap-free resident sessions** — a live session is one 104-byte
-//!   slot in its shard's table: the device id, the frame decoder's
-//!   carry, and the ARQ receiver's expected sequence number, sync flag
-//!   and a fixed ring of [`WINDOW`](distscroll_hw::arq::WINDOW) parked
-//!   records. A resident device costs that slot, its 8-byte recency
-//!   links (a side array of `u32` pairs), its device-index entry (a
-//!   16-byte bucket and a control byte, at most 7/8 full), a 16-byte
-//!   queue entry per batch it has queued (a device id and a `u32`
-//!   range), and the bytes of that batch in the service's round buffer,
-//!   plus the tables' growth slack. The one thing that still allocates
-//!   per session is the frame decoder's carry, and only once a frame
-//!   splits across two batches. `tests/zero_alloc_sessions.rs` holds
-//!   opening, evicting and decoding at the bound to zero allocations,
-//!   and a round with more bytes to one growth of the round buffer.
+//! * **Heap-free resident sessions** — a live session is one 24-byte
+//!   slot in its shard's table: the device id, the ARQ receiver's
+//!   expected sequence number and sync flag, and two `u32` handles, one
+//!   for a ring of [`WINDOW`](distscroll_hw::arq::WINDOW) parked records
+//!   and one for a frame carry. The rings and carries live in stores the
+//!   shard owns ([`DecodeStores`](distscroll_host::telemetry::DecodeStores)),
+//!   reused through free lists: a session takes a ring only while it has
+//!   a sequence gap and a carry only while a frame straddles two of its
+//!   batches, and gives each back when the gap fills, the frame
+//!   completes, or the session is evicted or finished. A resident device
+//!   costs that slot, its 8-byte recency links (a side array of `u32`
+//!   pairs), its device-index entry (a 16-byte bucket and a control
+//!   byte, at most 7/8 full), a 16-byte queue entry per batch it has
+//!   queued (a device id and a `u32` range), the bytes of that batch in
+//!   the service's round buffer, and its share of the stores' high-water
+//!   (a 64-byte ring per gap, a 262-byte carry per split frame), plus the
+//!   tables' growth slack. `tests/zero_alloc_sessions.rs` holds opening,
+//!   evicting and decoding at the bound, gaps and split frames included,
+//!   to zero allocations, and a round with more bytes to one growth of
+//!   the round buffer.
 //! * **Streaming aggregation** — `LinkQuality` and interaction counters
 //!   accumulate online per shard; nothing retains per-frame history.
 //!

@@ -10,7 +10,7 @@
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-use distscroll_host::telemetry::{DecodeBooks, DecodeState, Record};
+use distscroll_host::telemetry::{DecodeBooks, DecodeState, DecodeStores, Record};
 use distscroll_hw::arq::LinkQuality;
 
 /// One queued, not-yet-decoded chunk of a device's radio stream: a
@@ -95,13 +95,15 @@ impl ShardStats {
 
 /// One session slot: a device's decode state and nothing else.
 ///
-/// The state is the frame decoder's carry and the ARQ receiver's
-/// expected sequence number, parked ring and sync flag: 104 bytes, with
-/// no heap memory of its own until a frame splits across two batches.
-/// Every counter a decode moves is booked straight into the shard's
-/// [`DecodeBooks`], and the recency links live in the shard's `links`
-/// array beside the slots, so eviction only overwrites the slot.
-#[derive(Debug, Clone)]
+/// The state is the ARQ receiver's expected sequence number and sync
+/// flag and two `u32` handles, one for a parked ring and one for a frame
+/// carry: 24 bytes with the device id, and no memory of its own. A ring
+/// or carry lives in the shard's [`DecodeStores`] only while the session
+/// has a gap or a split frame. Every counter a decode moves is booked
+/// straight into the shard's [`DecodeBooks`], and the recency links live
+/// in the shard's `links` array beside the slots, so eviction gives the
+/// session's entries back and overwrites the slot.
+#[derive(Debug)]
 struct Session {
     device: u64,
     decode: DecodeState,
@@ -192,6 +194,8 @@ pub(crate) struct Shard {
     mru: u32,
     /// Ranges of the service's round buffer, in arrival order.
     queue: Vec<Batch>,
+    /// The split frames and parked rings of the sessions that have one.
+    stores: DecodeStores,
     /// Every session's decode counters, booked as they happen.
     books: DecodeBooks,
     /// The shard's own counters. Its decode fields stay zero:
@@ -210,6 +214,7 @@ impl Shard {
             lru: NIL,
             mru: NIL,
             queue: Vec::new(),
+            stores: DecodeStores::default(),
             books: DecodeBooks::default(),
             stats: ShardStats::default(),
             capacity: capacity.min(MAX_SLOTS),
@@ -264,6 +269,7 @@ impl Shard {
             let (events, states) = (&mut self.stats.events, &mut self.stats.states);
             self.slots[slot as usize].decode.push_bytes_with(
                 bytes,
+                &mut self.stores,
                 &mut self.books,
                 |rec| match rec {
                     Record::Event(_) => *events += 1,
@@ -361,25 +367,31 @@ impl Shard {
 
     /// Evicts the least-recently-touched session and returns its freed
     /// slot, for the caller to overwrite. Its counters are already in
-    /// the shard's books, so nothing is folded. Every batch touches its
-    /// session, so the list order is the order of last touches and the
-    /// victim is unambiguous.
+    /// the shard's books, so nothing is folded; its carry and ring go
+    /// back to the stores. Every batch touches its session, so the list
+    /// order is the order of last touches and the victim is unambiguous.
     fn evict_lru(&mut self) -> Option<u32> {
         let slot = self.lru;
         if slot == NIL {
             return None;
         }
         self.unlink(slot);
-        self.index.remove(&self.slots[slot as usize].device);
+        let victim = &mut self.slots[slot as usize];
+        victim.decode.release(&mut self.stores);
+        self.index.remove(&victim.device);
         self.stats.evicted += 1;
         Some(slot)
     }
 
     /// Closes the books: decodes whatever is still queued in `round`,
     /// drops every live session (without counting them as evictions) and
-    /// returns the final stats. The shard is empty afterwards.
+    /// returns the final stats. The shard is empty afterwards, its
+    /// stores too.
     pub(crate) fn finish(&mut self, round: &[u8]) -> ShardStats {
         self.process_queue(round);
+        for session in &mut self.slots {
+            session.decode.release(&mut self.stores);
+        }
         self.index.clear();
         self.slots.clear();
         self.links.clear();
@@ -417,7 +429,7 @@ impl Shard {
 mod tests {
     use super::*;
     use distscroll_hw::arq::{ArqClass, ArqTx};
-    use distscroll_hw::link::encode_frame;
+    use distscroll_hw::link::{encode_frame, SYNC1, SYNC2};
     use std::collections::BTreeMap;
 
     /// A clean in-order ARQ byte stream carrying `n` event records,
@@ -435,17 +447,105 @@ mod tests {
     }
 
     #[test]
-    fn a_session_slot_fits_in_112_bytes() {
-        // The resident state of one device: decode state only, with the
-        // receiver's parked ring inline and no heap allocation behind it.
-        // Counters live in the shard's books, links in its side array.
+    fn a_session_slot_fits_in_24_bytes() {
+        // The resident state of one device: the device id and decode
+        // state only, whose parked ring and frame carry are handles into
+        // the shard's stores. Counters live in the shard's books, links
+        // in its side array.
         assert!(
-            std::mem::size_of::<Session>() <= 112,
+            std::mem::size_of::<Session>() <= 24,
             "{} bytes",
             std::mem::size_of::<Session>()
         );
+        assert_eq!(std::mem::size_of::<DecodeState>(), 12);
         assert_eq!(std::mem::size_of::<Links>(), 8);
         assert_eq!(std::mem::size_of::<Batch>(), 16);
+    }
+
+    /// One data frame carrying a record, under wire sequence number `seq`.
+    fn data_frame(seq: u16, record: &[u8]) -> Vec<u8> {
+        let [hi, lo] = seq.to_be_bytes();
+        encode_frame(&[&[b'D', hi, lo][..], record].concat()).unwrap()
+    }
+
+    #[test]
+    fn an_evicted_sessions_entries_reach_the_next_session_empty() {
+        // Device 1 sends events 0, 2 and 3 (2 and 3 park behind the gap
+        // at 1) and the head of one more frame, which waits in a carry.
+        let event = |stamp: u8| [b'E', 0, stamp, b'B', 0];
+        let state = |stamp: u8| [b'T', 0, stamp, 0, 100, 0xff, 0, 0];
+        let split = data_frame(4, &event(4));
+        let victim = [
+            data_frame(0, &event(0)),
+            data_frame(2, &event(2)),
+            data_frame(3, &event(3)),
+            split[..6].to_vec(),
+        ]
+        .concat();
+        let mut shard = Shard::new(1);
+        let mut round = Vec::new();
+        assert!(shard.enqueue(1, &victim, &mut round, usize::MAX));
+        shard.process_queue(&round);
+        round.clear();
+        assert_eq!(shard.books.records_ok, 1, "events 2 and 3 are parked");
+        assert_eq!(shard.stores.rings.in_use(), 1);
+        assert_eq!(shard.stores.carries.in_use(), 1);
+
+        // Device 2 evicts it, takes its slot, and parks state records
+        // under the same sequence numbers in the ring it frees, with a
+        // frame split across its two batches in the carry it frees.
+        let tail = data_frame(1, &state(1));
+        let (head, rest) = tail.split_at(4);
+        let newcomer = [
+            data_frame(0, &state(0)),
+            data_frame(2, &state(2)),
+            data_frame(3, &state(3)),
+            head.to_vec(),
+        ]
+        .concat();
+        assert!(shard.enqueue(2, &newcomer, &mut round, usize::MAX));
+        shard.process_queue(&round);
+        round.clear();
+        assert_eq!(shard.stats.evicted, 1);
+        assert_eq!(shard.stores.rings.in_use(), 1, "the freed ring, reused");
+        assert_eq!(shard.stores.carries.in_use(), 1, "the freed carry, reused");
+        assert!(shard.enqueue(2, rest, &mut round, usize::MAX));
+        shard.process_queue(&round);
+        assert_eq!(
+            shard.stores.in_use(),
+            0,
+            "the gap filled, the frame completed"
+        );
+
+        // The newcomer delivered its four states and none of the victim's
+        // parked events.
+        let stats = shard.finish(&[]);
+        assert_eq!(stats.events, 1, "only the victim's in-order event");
+        assert_eq!(stats.states, 4);
+        assert_eq!(stats.link.duplicates, 0);
+        assert_eq!(shard.stores.in_use(), 0);
+    }
+
+    #[test]
+    fn finish_gives_every_entry_back() {
+        // Two live sessions, each with a gap and a split frame.
+        let mut shard = Shard::new(usize::MAX);
+        let mut round = Vec::new();
+        for device in [1, 2] {
+            let bytes = [
+                data_frame(0, &[b'E', 0, 0, b'B', 0]),
+                data_frame(2, &[b'E', 0, 2, b'B', 0]),
+                vec![SYNC1, SYNC2, 9],
+            ]
+            .concat();
+            assert!(shard.enqueue(device, &bytes, &mut round, usize::MAX));
+        }
+        shard.process_queue(&round);
+        assert_eq!(shard.stores.rings.in_use(), 2);
+        assert_eq!(shard.stores.carries.in_use(), 2);
+        let stats = shard.finish(&[]);
+        assert_eq!(stats.records, 2);
+        assert_eq!(shard.stores.in_use(), 0);
     }
 
     #[test]

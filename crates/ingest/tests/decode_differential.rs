@@ -15,6 +15,10 @@
 //!   single bytes, so frames straddle batches and sit in a carry;
 //! * at `jobs` 1 and 4.
 //!
+//! A template that ends chunks inside a frame, so a session's carry
+//! holds bytes from one batch to the next in the capture's own split, is
+//! checked the same way on its own.
+//!
 //! Under a session-capacity bound the reference is a model of the
 //! eviction policy: each eviction retires the device's decoder and the
 //! next batch from it starts a fresh one, which is exactly what
@@ -63,9 +67,15 @@ fn batches(split: Split) -> Vec<Vec<Vec<u8>>> {
         .enumerate()
         .map(|(i, &link)| capture_template(link, 16, 100, SEED + i as u64).rounds)
         .collect();
+    batches_of(&templates, split)
+}
+
+/// Every device's stream, cut into its batches: device `d` replays
+/// `templates[d % templates.len()]`.
+fn batches_of(templates: &[Vec<Vec<u8>>], split: Split) -> Vec<Vec<Vec<u8>>> {
     (0..DEVICES as usize)
         .map(|d| {
-            let chunks = &templates[d % LINKS.len()];
+            let chunks = &templates[d % templates.len()];
             match split {
                 Split::Captured => chunks.clone(),
                 Split::Every(n) => chunks.concat().chunks(n).map(<[u8]>::to_vec).collect(),
@@ -278,5 +288,47 @@ fn bounded_shard_books_equal_a_fresh_decoder_per_eviction() {
             let evicted: u64 = want.iter().map(|b| b.evicted).sum();
             assert!(evicted > 0, "{split:?}, capacity {capacity}: must evict");
         }
+    }
+}
+
+/// The 1e-3-BER link at a capture seed whose 12-round template ends two
+/// of its chunks inside a frame.
+fn split_frame_template() -> Vec<Vec<u8>> {
+    let rounds = capture_template(LINKS[3], 12, 100, 20050603).rounds;
+    let mut dec = StreamDecoder::with_arq_resync();
+    let splits = rounds
+        .iter()
+        .filter(|chunk| {
+            dec.push_bytes_with(chunk, |_| {});
+            dec.link_byte_accounting().2 > 0
+        })
+        .count();
+    assert!(splits > 0, "the template must split a frame across chunks");
+    rounds
+}
+
+#[test]
+fn split_frame_template_books_equal_the_per_device_decoders() {
+    // Every device replays the split template, half of them next to the
+    // hallway link's, in the capture's own chunks.
+    let templates = [
+        split_frame_template(),
+        capture_template(LINKS[2], 12, 100, SEED).rounds,
+    ];
+    let streams = batches_of(&templates, Split::Captured);
+    let order = schedule(&streams);
+    for capacity in [usize::MAX, 1, 2, 4] {
+        let want = model(&order, capacity);
+        let cfg = IngestConfig {
+            shards: SHARDS,
+            high_water: usize::MAX,
+            session_capacity: capacity,
+        };
+        for jobs in [1, 4] {
+            let got: Vec<Books> = drive(&cfg, &order, jobs).iter().map(Books::of).collect();
+            assert_eq!(got, want, "capacity {capacity}, jobs {jobs}");
+        }
+        let crc: u64 = want.iter().map(|b| b.crc_failures).sum();
+        assert!(crc > 0, "the BER link must fail CRCs");
     }
 }

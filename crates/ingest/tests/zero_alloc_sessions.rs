@@ -2,11 +2,14 @@
 //! capacity-bounded shard's slot table has reached its bound, opening a
 //! session (and evicting the least recently touched one to make room)
 //! and decoding its captured radio stream performs **zero** heap
-//! allocations. The ARQ receiver parks out-of-order records in a fixed
-//! ring inside the session slot, so nothing behind a session grows with
-//! the traffic it sees. A round's bytes wait in one buffer the service
-//! owns, so a round with more bytes grows that one buffer, not one per
-//! shard.
+//! allocations. The ARQ receiver parks out-of-order records in a ring,
+//! and a frame split across two batches waits in a carry; both are
+//! entries of stores the shard owns, taken while a session has a gap or
+//! a split frame and given back when it closes them or is evicted. Once
+//! the stores have grown to the most entries the traffic holds at once
+//! they stop growing, so a store that leaked entries under churn would
+//! allocate here. A round's bytes wait in one buffer the service owns,
+//! so a round with more bytes grows that one buffer, not one per shard.
 //!
 //! The same counting-allocator wrapper as `distscroll-host`'s
 //! `zero_alloc_decode` test, tallying per thread so the multi-threaded
@@ -16,6 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use distscroll_host::telemetry::StreamDecoder;
 use distscroll_ingest::loadgen::{capture_template, inorder_template, LinkProfile, Template};
 use distscroll_ingest::{IngestConfig, IngestService};
 
@@ -134,6 +138,77 @@ fn opening_and_evicting_sessions_at_the_bound_allocates_nothing() {
     assert_eq!(
         allocated, 0,
         "sessions opened and evicted at the bound must not allocate"
+    );
+}
+
+/// The high-bit-error link of the fleet benchmark: CRC failures keep the
+/// frame scan resyncing, and at [`SPLIT_SEED`] a frame straddles a
+/// chunk boundary.
+const HIGH_BER: LinkProfile = LinkProfile {
+    drop_prob: 0.02,
+    ber: 1e-3,
+    jitter_ms: 5,
+};
+
+/// A capture seed whose [`HIGH_BER`] template, at 12 rounds, ends two
+/// chunks inside a frame.
+const SPLIT_SEED: u64 = 20050603;
+
+/// Chunks of `template` after which a decoder replaying it holds a
+/// frame's head back for the next chunk.
+fn split_chunks(template: &Template) -> usize {
+    let mut dec = StreamDecoder::with_arq_resync();
+    template
+        .rounds
+        .iter()
+        .filter(|chunk| {
+            dec.push_bytes_with(chunk, |_| {});
+            dec.link_byte_accounting().2 > 0
+        })
+        .count()
+}
+
+#[test]
+fn split_frames_and_gaps_at_the_bound_allocate_nothing() {
+    let templates = [
+        capture_template(HIGH_BER, 12, 100, SPLIT_SEED),
+        capture_template(LinkProfile::LOSSY, 12, 100, 20050607),
+    ];
+    assert!(
+        split_chunks(&templates[0]) > 0,
+        "the template must split a frame across chunks"
+    );
+    let rounds = templates.iter().map(|t| t.rounds.len()).max().unwrap_or(0);
+    let mut svc = IngestService::new(&IngestConfig {
+        shards: 1,
+        high_water: usize::MAX,
+        session_capacity: CAPACITY,
+    });
+
+    // Warm-up: one pass grows the slot table, the queue, the index, the
+    // round buffer and both stores to the most this schedule needs.
+    for round in 0..rounds {
+        play_round(&mut svc, &templates, round);
+    }
+
+    // The measured pass replays the same chunks, every batch evicting a
+    // session (and with it any gap or split frame it holds) to open one.
+    let before = allocations_on_this_thread();
+    for round in rounds..2 * rounds {
+        play_round(&mut svc, &templates, round);
+    }
+    let allocated = allocations_on_this_thread() - before;
+
+    let stats = svc.finish().totals;
+    assert_eq!(stats.evicted, stats.batches_in - CAPACITY as u64);
+    assert!(stats.crc_failures > 0, "the BER link must fail CRCs");
+    assert!(
+        stats.link.out_of_order > 0,
+        "the lossy streams must park records"
+    );
+    assert_eq!(
+        allocated, 0,
+        "gaps and split frames at the bound must not allocate"
     );
 }
 
